@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "kernel/dispatch.h"
 
@@ -39,12 +40,11 @@ namespace mbi::bench {
 
 inline bool IsReleaseBuild() {
 #ifdef NDEBUG
-  // NDEBUG alone is not enough (RelWithDebInfo sets it too, at -O2 that is
-  // fine; but a custom build type could set NDEBUG at -O0), so also require
-  // an optimized configured type.
-  const char* type = MBI_BENCH_BUILD_TYPE;
-  return (type[0] == 'R' || type[0] == 'r') ||  // Release, RelWithDebInfo...
-         (type[0] == 'M' || type[0] == 'm');    // MinSizeRel
+  // NDEBUG alone is not enough (RelWithDebInfo and MinSizeRel set it too,
+  // at -O2 / -Os, and a custom build type could set it at -O0). Every
+  // committed BENCH_*.json is compared against the others, so only the one
+  // -O3 configuration counts: the configured type must be exactly Release.
+  return std::string_view(MBI_BENCH_BUILD_TYPE) == "Release";
 #else
   return false;
 #endif

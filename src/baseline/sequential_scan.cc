@@ -83,7 +83,7 @@ void SequentialScanner::RecordScan(bool is_range, double elapsed_us) const {
 MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
     const PackedTarget& packed, const SimilarityFunction& similarity,
     IoStats* stats, uint32_t page_size_bytes, const QueryBudget& budget,
-    std::vector<Neighbor>* scored) const {
+    const DeletedRows* deleted, std::vector<Neighbor>* scored) const {
   SequentialIoCharger charger(stats, page_size_bytes);
   const size_t n = database_->size();
   ScanOutcome outcome;
@@ -94,6 +94,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
   // contract holds without state.
   uint32_t match[kScanChunk];
   uint32_t hamming[kScanChunk];
+  TransactionId live_ids[kScanChunk];
   const bool use_layout = packed.has_layout();
   for (size_t base = 0; base < n; base += kScanChunk) {
     // Budget check between chunks, never before the first: a degraded scan
@@ -117,7 +118,30 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
       }
     }
     const size_t len = std::min(kScanChunk, n - base);
-    if (use_layout) {
+    if (deleted != nullptr) {
+      // Every row of the chunk is read (and charged); deleted ones drop out
+      // of the id list before the kernel scores the survivors.
+      for (size_t i = 0; i < len; ++i) {
+        live_ids[i] = static_cast<TransactionId>(base + i);
+        charger.Charge(database_->Get(live_ids[i]));
+      }
+      const size_t live = deleted->RemoveFlagged(live_ids, len);
+      if (use_layout) {
+        packed.MatchAndHammingBatch(live_ids, live, match, hamming);
+      } else {
+        for (size_t i = 0; i < live; ++i) {
+          size_t m = 0, h = 0;
+          packed.MatchAndHamming(database_->Get(live_ids[i]), &m, &h);
+          match[i] = static_cast<uint32_t>(m);
+          hamming[i] = static_cast<uint32_t>(h);
+        }
+      }
+      for (size_t i = 0; i < live; ++i) {
+        scored->push_back(
+            {live_ids[i], similarity.Evaluate(static_cast<int>(match[i]),
+                                              static_cast<int>(hamming[i]))});
+      }
+    } else if (use_layout) {
       // Stream the blocked layout through the SIMD match kernel.
       packed.MatchAndHammingRows(static_cast<TransactionId>(base), len, match,
                                  hamming);
@@ -156,7 +180,7 @@ std::vector<Neighbor> SequentialScanner::FindKNearest(
   std::vector<Neighbor> scored;
   scored.reserve(database_->size());
   ScoreAllCandidates(packed, *similarity, stats, page_size_bytes,
-                     QueryBudget{}, &scored);
+                     QueryBudget{}, /*deleted=*/nullptr, &scored);
   SortBestFirst(&scored);
   if (scored.size() > k) scored.resize(k);
   RecordScan(/*is_range=*/false, timer.ElapsedUs());
@@ -196,6 +220,7 @@ void SequentialScanner::FindKNearest(const Transaction& target,
                                      const SimilarityFamily& family, size_t k,
                                      const QueryBudget& budget,
                                      NearestNeighborResult* result,
+                                     const DeletedRows* deleted,
                                      uint32_t page_size_bytes) const {
   MBI_CHECK(k >= 1);
   MBI_CHECK(result != nullptr);
@@ -207,16 +232,19 @@ void SequentialScanner::FindKNearest(const Transaction& target,
   result->neighbors.clear();
   result->trace.clear();
   result->stats = QueryStats{};
+  MBI_CHECK(deleted == nullptr || deleted->size() == database_->size());
+  const size_t live_rows =
+      database_->size() - (deleted != nullptr ? deleted->count() : 0);
   std::vector<Neighbor> scored;
-  scored.reserve(database_->size());
+  scored.reserve(live_rows);
   const ScanOutcome outcome =
       ScoreAllCandidates(packed, *similarity, &result->stats.io,
-                         page_size_bytes, budget, &scored);
+                         page_size_bytes, budget, deleted, &scored);
   const auto evaluated = static_cast<uint64_t>(scored.size());
   SortBestFirst(&scored);
   if (scored.size() > k) scored.resize(k);
   result->neighbors = std::move(scored);
-  FillScanStats(outcome, *similarity, target, evaluated, database_->size(),
+  FillScanStats(outcome, *similarity, target, evaluated, live_rows,
                 &result->stats);
   result->guaranteed_exact = result->stats.is_exact;
   result->unexplored_optimistic_bound = result->stats.certificate_bound;
@@ -240,7 +268,7 @@ void SequentialScanner::FindInRange(const Transaction& target,
   scored.reserve(database_->size());
   const ScanOutcome outcome =
       ScoreAllCandidates(packed, *similarity, &result->stats.io,
-                         page_size_bytes, budget, &scored);
+                         page_size_bytes, budget, /*deleted=*/nullptr, &scored);
   const auto evaluated = static_cast<uint64_t>(scored.size());
   for (const Neighbor& neighbor : scored) {
     if (neighbor.similarity >= threshold) result->matches.push_back(neighbor);

@@ -7,6 +7,7 @@
 #include "core/similarity.h"
 #include "storage/io_stats.h"
 #include "txn/database.h"
+#include "txn/deleted_rows.h"
 #include "txn/packed_target.h"
 #include "util/hot_path.h"
 #include "util/metrics.h"
@@ -55,9 +56,15 @@ class SequentialScanner {
   /// is certified with f(|target|, 0), a pointwise optimistic bound for
   /// every admissible similarity (matches cannot exceed the target size and
   /// the Hamming distance cannot go below zero).
+  ///
+  /// A non-null `deleted` (covering the whole database) drops flagged rows
+  /// in each chunk before the match kernel runs: they still count as
+  /// scanned rows and charge their pages, but are never candidates, and
+  /// `database_size` / `transactions_evaluated` count live rows only.
   void FindKNearest(const Transaction& target, const SimilarityFamily& family,
                     size_t k, const QueryBudget& budget,
                     NearestNeighborResult* result,
+                    const DeletedRows* deleted = nullptr,
                     uint32_t page_size_bytes = 4096) const;
 
   /// Budget-aware range query (see the budget-aware FindKNearest).
@@ -104,13 +111,15 @@ class SequentialScanner {
   /// kScanChunk-row chunks, appending to the caller-owned `scored` buffer
   /// and charging the streaming I/O model, until the database is exhausted
   /// or `budget` expires (checked between chunks, always after at least one
-  /// chunk). MBI_HOT: growth of `*scored` aside, the loop must not allocate
+  /// chunk). Rows flagged in a non-null `deleted` are charged but not
+  /// scored. MBI_HOT: growth of `*scored` aside, the loop must not allocate
   /// (util/hot_path.h).
   MBI_HOT ScanOutcome ScoreAllCandidates(const PackedTarget& packed,
                                          const SimilarityFunction& similarity,
                                          IoStats* stats,
                                          uint32_t page_size_bytes,
                                          const QueryBudget& budget,
+                                         const DeletedRows* deleted,
                                          std::vector<Neighbor>* scored) const;
 
   /// The layout in effect for this query, or null when the (optional)

@@ -253,10 +253,21 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     return order_heap[--remaining];
   };
 
-  result.stats.database_size = database_->size();
+  // Deleted rows (if any) leave the search space: statistics, the access
+  // budget and the exactness test below count live rows only.
+  const DeletedRows* deleted = options.deleted_rows;
+  MBI_CHECK(deleted == nullptr || deleted->size() == database_->size());
+  const uint64_t live_rows =
+      database_->size() - (deleted != nullptr ? deleted->count() : 0);
+  result.stats.database_size = live_rows;
   result.stats.entries_total = num_entries;
-  const uint64_t budget =
-      AccessBudget(options.max_access_fraction, database_->size());
+  uint64_t budget = AccessBudget(options.max_access_fraction, live_rows);
+  // Fraction 1.0 never terminates early. Without deleted rows the cap is
+  // reached only by the last entry anyway; with them, every live row can be
+  // evaluated while entries holding only deleted rows are still queued.
+  if (options.max_access_fraction >= 1.0) {
+    budget = std::numeric_limits<uint64_t>::max();
+  }
   // Overload budget (tightest-wins between the per-call options and the
   // context's session default). `limited` is hoisted so the unlimited case
   // pays one branch per entry and zero clock reads.
@@ -387,11 +398,18 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     table_->FetchEntryTransactions(entry_index, &result.stats.io,
                                    &ctx.candidate_ids_);
     ++result.stats.entries_scanned;
+    // Deleted rows drop out before the kernel; compaction is in place, so
+    // the filtered path allocates nothing either.
+    size_t candidates = ctx.candidate_ids_.size();
+    if (deleted != nullptr) {
+      candidates = deleted->RemoveFlagged(ctx.candidate_ids_.data(), candidates);
+    }
     if (use_layout) {
-      evaluate_candidates_batch(ctx.candidate_ids_.data(),
-                                ctx.candidate_ids_.size());
+      evaluate_candidates_batch(ctx.candidate_ids_.data(), candidates);
     } else {
-      for (TransactionId id : ctx.candidate_ids_) evaluate_candidate(id);
+      for (size_t i = 0; i < candidates; ++i) {
+        evaluate_candidate(ctx.candidate_ids_[i]);
+      }
     }
     if (result.stats.transactions_evaluated >= budget && remaining > 0) {
       terminated_early = true;
@@ -425,7 +443,7 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   result.unexplored_optimistic_bound = unexplored_bound;
   result.best_unscanned_bound = std::max(max_pruned_bound, unexplored_bound);
   result.guaranteed_exact =
-      knn_heap.size() == std::min<size_t>(k, database_->size()) &&
+      knn_heap.size() == std::min<uint64_t>(k, live_rows) &&
       result.best_unscanned_bound <= pessimistic();
   // Paper-§4 quality certificate, duplicated into the stats so it survives
   // paths that only propagate QueryStats (metrics, the quarantine fallback).
@@ -454,6 +472,8 @@ NearestNeighborResult BranchAndBoundEngine::FindKNearestMultiTargetReference(
     size_t k, const SearchOptions& options) const {
   MBI_CHECK(!targets.empty());
   MBI_CHECK(k >= 1);
+  MBI_CHECK_MSG(options.deleted_rows == nullptr,
+                "the frozen reference path does not filter deleted rows");
 
   // Bind the similarity function and bound calculator to each target.
   std::vector<std::unique_ptr<SimilarityFunction>> functions;
@@ -645,6 +665,8 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     const SearchOptions& options) const {
   MBI_CHECK(!families.empty());
   MBI_CHECK(families.size() == thresholds.size());
+  MBI_CHECK_MSG(options.deleted_rows == nullptr,
+                "range queries do not filter deleted rows");
 
   std::vector<std::unique_ptr<SimilarityFunction>> functions;
   functions.reserve(families.size());

@@ -11,6 +11,7 @@
 #include "core/similarity.h"
 #include "txn/candidate_layout.h"
 #include "txn/database.h"
+#include "txn/deleted_rows.h"
 #include "txn/transaction.h"
 #include "util/hot_path.h"
 
@@ -83,6 +84,15 @@ struct SearchOptions {
   /// returns an inconsistent certificate); see QueryStats::termination.
   /// The frozen *Reference paths ignore it by design.
   QueryBudget budget;
+
+  /// Rows to treat as absent (deleted), keyed by the database's ids; null
+  /// searches every row. Flagged ids are dropped from each scanned entry
+  /// before the match kernel runs, so they are never candidates and never
+  /// count in `transactions_evaluated`. Entry bounds cover a superset of the
+  /// live rows, so pruning and the certificate stay sound. Must cover the
+  /// whole database. k-NN only: range queries and the frozen *Reference
+  /// paths reject a non-null filter.
+  const DeletedRows* deleted_rows = nullptr;
 };
 
 /// Result of a (k-)nearest-neighbour query.

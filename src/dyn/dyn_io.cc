@@ -68,7 +68,7 @@ Status DynIo::Save(const DynamicIndex& index, const std::string& prefix,
 
   // Shards first, manifest last: the manifest is the commit point.
   for (size_t i = 0; i < snapshot.components.size(); ++i) {
-    const DynComponent& component = *snapshot.components[i];
+    const DynComponent& component = *snapshot.components[i].component;
     MBI_RETURN_IF_ERROR(SaveDatabase(component.rows, RowsPath(prefix, i), env));
     if (!component.quarantined) {
       MBI_RETURN_IF_ERROR(
@@ -89,21 +89,41 @@ Status DynIo::Save(const DynamicIndex& index, const std::string& prefix,
   writer.PutU64(snapshot.components.size());
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
+  // The on-disk format keeps one sorted tombstone gid list; it is derived
+  // from the per-part deleted bitmaps (and rebuilt into them on load).
+  const MutableBuffer& buffer = *snapshot.buffer;
+  const size_t buffered = buffer.size();
+  std::vector<TransactionId> tombstones;
+  for (const DynamicIndex::Part& part : snapshot.components) {
+    if (part.deleted == nullptr) continue;
+    for (size_t row = 0; row < part.component->size(); ++row) {
+      if (part.deleted->contains(static_cast<TransactionId>(row))) {
+        tombstones.push_back(part.component->gids[row]);
+      }
+    }
+  }
+  if (snapshot.buffer_deleted != nullptr) {
+    for (size_t slot = 0; slot < buffered; ++slot) {
+      if (snapshot.buffer_deleted->contains(static_cast<TransactionId>(slot))) {
+        tombstones.push_back(buffer.row(slot).gid);
+      }
+    }
+  }
+  std::sort(tombstones.begin(), tombstones.end());
   writer.BeginSection(kSectionTombstones);
-  writer.PutU32Span(snapshot.tombstones->data(), snapshot.tombstones->size());
+  writer.PutU32Span(tombstones.data(), tombstones.size());
   MBI_RETURN_IF_ERROR(writer.EndSection());
 
-  for (const auto& component : snapshot.components) {
+  for (const DynamicIndex::Part& part : snapshot.components) {
     writer.BeginSection(kSectionComponent);
-    writer.PutU32(static_cast<uint32_t>(component->level));
-    writer.PutU32Span(component->gids.data(), component->gids.size());
+    writer.PutU32(static_cast<uint32_t>(part.component->level));
+    writer.PutU32Span(part.component->gids.data(),
+                      part.component->gids.size());
     MBI_RETURN_IF_ERROR(writer.EndSection());
   }
 
   // Buffered rows ride in the manifest verbatim: the buffer is small by
   // construction and gets no derived artifacts.
-  const MutableBuffer& buffer = *snapshot.buffer;
-  const size_t buffered = buffer.size();
   writer.BeginSection(kSectionBuffer);
   writer.PutU64(buffered);
   for (size_t i = 0; i < buffered; ++i) {
@@ -190,17 +210,16 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
         LoadSignatureTable(TablePath(prefix, i), rows, env);
     if (loaded_table.ok()) table.emplace(std::move(loaded_table).value());
     MutexLock lock(&index->mu_);
-    index->state_.components.push_back(DynComponent::CreateFromLoaded(
-        manifest.level, std::move(manifest.gids), std::move(rows),
-        std::move(table)));
+    index->state_.components.push_back(
+        {DynComponent::CreateFromLoaded(manifest.level,
+                                        std::move(manifest.gids),
+                                        std::move(rows), std::move(table)),
+         nullptr});
   }
 
   std::optional<DynamicIndex::MergePlan> plan;
   {
     MutexLock lock(&index->mu_);
-    index->state_.tombstones =
-        std::make_shared<const std::vector<TransactionId>>(
-            std::move(tombstones));
     index->next_gid_ = static_cast<TransactionId>(next_gid);
 
     // Replay buffered rows under their original gids; a smaller configured
@@ -222,13 +241,22 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
     }
     MBI_RETURN_IF_ERROR(parser.ExpectConsumed());
 
-    // live_rows_ was bumped per buffer replay only; rebuild it from scratch
-    // (AppendRowLocked's spill already purged buffer-row tombstones).
-    size_t total = index->state_.buffer->size();
-    for (const auto& component : index->state_.components) {
-      total += component->size();
+    // Rebuild the deleted bitmaps from the gid list, one copy-on-write flag
+    // per gid (no reader exists yet). A gid no part owns is a corrupt
+    // manifest.
+    for (const TransactionId gid : tombstones) {
+      if (!index->MarkDeletedLocked(gid).ok()) {
+        return Status::Corruption(prefix +
+                                  ": tombstone names no live row");
+      }
     }
-    index->live_rows_ = total - index->state_.tombstones->size();
+
+    // live_rows_ was bumped per buffer replay only; rebuild it from scratch.
+    size_t total = index->state_.buffer->size();
+    for (const DynamicIndex::Part& part : index->state_.components) {
+      total += part.component->size();
+    }
+    index->live_rows_ = total - index->deleted_rows_;
     index->UpdateGaugesLocked();
     plan = index->MaybeStartMergeLocked();
   }

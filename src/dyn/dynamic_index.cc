@@ -20,6 +20,52 @@ namespace {
 /// under the min-one-chunk rule.
 constexpr size_t kBufferScanChunk = SequentialScanner::kScanChunk;
 
+/// Delete-proportion bound: once more than this fraction of a component's
+/// rows are deleted, the component is rewritten alone at its own level
+/// (dynamic-extension's maximum delete proportion). Bounds the deleted rows
+/// any query still walks past to a quarter of each component.
+constexpr double kMaxDeletedFraction = 0.25;
+
+/// Copy-on-write flag of local row `row` in `*deleted`, a bitmap over `rows`
+/// ids (null = nothing deleted yet). Readers holding the old version keep
+/// it unchanged.
+Status FlagRow(std::shared_ptr<const DeletedRows>* deleted, size_t rows,
+               TransactionId row) {
+  if (*deleted != nullptr && (*deleted)->contains(row)) {
+    return Status::NotFound("row already deleted");
+  }
+  auto updated = *deleted != nullptr
+                     ? std::make_shared<DeletedRows>(**deleted)
+                     : std::make_shared<DeletedRows>(rows);
+  updated->Insert(row);
+  *deleted = std::move(updated);
+  return Status::Ok();
+}
+
+/// Re-flags in `merged` the rows of `claimed` (a victim as of its claim)
+/// that `now`, the victim's current bitmap, flags and the claim-time bitmap
+/// did not: deletes that landed while the reconstruction was in flight.
+/// Those rows were gathered into `merged`, so each is found there by gid.
+void CarryOverDeletes(const DeletedRows* claimed_deleted,
+                      const DynComponent& claimed, const DeletedRows& now,
+                      const DynComponent& merged,
+                      std::shared_ptr<DeletedRows>* carried) {
+  for (size_t i = 0; i < claimed.size(); ++i) {
+    const auto row = static_cast<TransactionId>(i);
+    if (!now.contains(row) ||
+        (claimed_deleted != nullptr && claimed_deleted->contains(row))) {
+      continue;
+    }
+    const auto it = std::lower_bound(merged.gids.begin(), merged.gids.end(),
+                                     claimed.gids[i]);
+    MBI_CHECK(it != merged.gids.end() && *it == claimed.gids[i]);
+    if (*carried == nullptr) {
+      *carried = std::make_shared<DeletedRows>(merged.size());
+    }
+    (*carried)->Insert(static_cast<TransactionId>(it - merged.gids.begin()));
+  }
+}
+
 double PointwiseBound(const SimilarityFunction& similarity,
                       size_t target_size) {
   // f(|target|, 0) dominates f(x, y) for every admissible f: matches cannot
@@ -86,7 +132,6 @@ DynamicIndex::DynamicIndex(size_t universe_size,
   MBI_CHECK(options_.max_l0_components >= 1);
   MutexLock lock(&mu_);
   state_.buffer = std::make_shared<MutableBuffer>(options_.buffer_capacity);
-  state_.tombstones = std::make_shared<const std::vector<TransactionId>>();
   UpdateGaugesLocked();
 }
 
@@ -102,11 +147,14 @@ DynamicIndex::Metrics DynamicIndex::MakeMetrics(MetricsRegistry* registry) {
   if (registry == nullptr) return m;
   m.inserts = registry->GetCounter("mbi.dyn.inserts", "rows", "Rows inserted");
   m.deletes =
-      registry->GetCounter("mbi.dyn.deletes", "rows", "Rows tombstoned");
+      registry->GetCounter("mbi.dyn.deletes", "rows", "Rows deleted");
   m.spills = registry->GetCounter("mbi.dyn.spills", "spills",
                                   "Buffer spills into level 0");
   m.merges = registry->GetCounter("mbi.dyn.merges", "merges",
                                   "Level merges published");
+  m.rewrites = registry->GetCounter(
+      "mbi.dyn.rewrites", "rewrites",
+      "Delete-proportion rewrites of one component published");
   m.merges_abandoned =
       registry->GetCounter("mbi.dyn.merges_abandoned", "merges",
                            "Level merges abandoned (budget/shutdown)");
@@ -118,7 +166,7 @@ DynamicIndex::Metrics DynamicIndex::MakeMetrics(MetricsRegistry* registry) {
   m.components = registry->GetGauge("mbi.dyn.components", "components",
                                     "Published static components");
   m.tombstones = registry->GetGauge("mbi.dyn.tombstones", "rows",
-                                    "Unpurged tombstones");
+                                    "Deleted rows not yet purged");
   m.buffer_fill = registry->GetGauge("mbi.dyn.buffer_fill", "rows",
                                      "Rows in the mutable buffer");
   m.live_rows =
@@ -131,7 +179,7 @@ DynamicIndex::Metrics DynamicIndex::MakeMetrics(MetricsRegistry* registry) {
 void DynamicIndex::UpdateGaugesLocked() {
   if (options_.metrics == nullptr) return;
   metrics_.components->Set(static_cast<double>(state_.components.size()));
-  metrics_.tombstones->Set(static_cast<double>(state_.tombstones->size()));
+  metrics_.tombstones->Set(static_cast<double>(deleted_rows_));
   metrics_.buffer_fill->Set(static_cast<double>(state_.buffer->size()));
   metrics_.live_rows->Set(static_cast<double>(live_rows_));
 }
@@ -195,71 +243,81 @@ void DynamicIndex::SpillLocked() {
   const MutableBuffer& buffer = *state_.buffer;
   const size_t n = buffer.size();
   MBI_CHECK(n >= 1);
-  const std::vector<TransactionId>& tombstones = *state_.tombstones;
+  const DeletedRows* deleted = state_.buffer_deleted.get();
 
-  // Freeze the live prefix; tombstoned buffer rows die here and their
-  // tombstones are purged (the row never reaches a component).
+  // Freeze the live prefix; deleted buffer rows die here (the row never
+  // reaches a component).
   std::vector<TransactionId> gids;
-  std::vector<TransactionId> applied;
   TransactionDatabase rows(static_cast<uint32_t>(universe_size_));
   gids.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const BufferedRow& row = buffer.row(i);
-    if (std::binary_search(tombstones.begin(), tombstones.end(), row.gid)) {
-      applied.push_back(row.gid);
+    if (deleted != nullptr &&
+        deleted->contains(static_cast<TransactionId>(i))) {
       continue;
     }
+    const BufferedRow& row = buffer.row(i);
     gids.push_back(row.gid);
     rows.Add(row.txn);
   }
   if (!gids.empty()) {
-    state_.components.push_back(DynComponent::Create(
-        /*level=*/0, std::move(gids), std::move(rows), options_.build));
-  }
-  if (!applied.empty()) {
-    auto remaining = std::make_shared<std::vector<TransactionId>>();
-    std::set_difference(tombstones.begin(), tombstones.end(), applied.begin(),
-                        applied.end(), std::back_inserter(*remaining));
-    state_.tombstones = std::move(remaining);
+    state_.components.push_back(
+        {DynComponent::Create(/*level=*/0, std::move(gids), std::move(rows),
+                              options_.build),
+         nullptr});
   }
   state_.buffer = std::make_shared<MutableBuffer>(options_.buffer_capacity);
+  if (deleted != nullptr) deleted_rows_ -= deleted->count();
+  state_.buffer_deleted.reset();
   if (metrics_.spills != nullptr) metrics_.spills->Increment();
 }
 
-Status DynamicIndex::Delete(TransactionId gid) {
-  MutexLock lock(&mu_);
+Status DynamicIndex::MarkDeletedLocked(TransactionId gid) {
   if (gid >= next_gid_) {
     return Status::NotFound("gid was never assigned");
   }
-  const std::vector<TransactionId>& tombstones = *state_.tombstones;
-  if (std::binary_search(tombstones.begin(), tombstones.end(), gid)) {
-    return Status::NotFound("row already deleted");
+  for (Part& part : state_.components) {
+    const std::vector<TransactionId>& gids = part.component->gids;
+    if (gid < gids.front() || gid > gids.back()) continue;
+    const auto it = std::lower_bound(gids.begin(), gids.end(), gid);
+    if (*it != gid) continue;
+    MBI_RETURN_IF_ERROR(FlagRow(&part.deleted, gids.size(),
+                                static_cast<TransactionId>(it - gids.begin())));
+    ++deleted_rows_;
+    return Status::Ok();
   }
-  bool present = false;
-  for (const auto& component : state_.components) {
-    if (std::binary_search(component->gids.begin(), component->gids.end(),
-                           gid)) {
-      present = true;
-      break;
+  // Buffer slots hold ascending gids (appends take next_gid_ in order).
+  const MutableBuffer& buffer = *state_.buffer;
+  size_t lo = 0;
+  size_t hi = buffer.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (buffer.row(mid).gid < gid) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  if (!present) {
-    const size_t n = state_.buffer->size();
-    for (size_t i = 0; i < n && !present; ++i) {
-      present = state_.buffer->row(i).gid == gid;
-    }
+  if (lo < buffer.size() && buffer.row(lo).gid == gid) {
+    MBI_RETURN_IF_ERROR(FlagRow(&state_.buffer_deleted, buffer.capacity(),
+                                static_cast<TransactionId>(lo)));
+    ++deleted_rows_;
+    return Status::Ok();
   }
-  if (!present) {
-    return Status::NotFound("row already deleted and purged");
+  return Status::NotFound("row already deleted and purged");
+}
+
+Status DynamicIndex::Delete(TransactionId gid) {
+  std::optional<MergePlan> plan;
+  {
+    MutexLock lock(&mu_);
+    MBI_RETURN_IF_ERROR(MarkDeletedLocked(gid));
+    --live_rows_;
+    if (metrics_.deletes != nullptr) metrics_.deletes->Increment();
+    plan = MaybeStartMergeLocked();
+    UpdateGaugesLocked();
   }
-  // Copy-on-write: queries hold the old vector via their snapshot.
-  auto updated = std::make_shared<std::vector<TransactionId>>(tombstones);
-  updated->insert(
-      std::upper_bound(updated->begin(), updated->end(), gid), gid);
-  state_.tombstones = std::move(updated);
-  --live_rows_;
-  if (metrics_.deletes != nullptr) metrics_.deletes->Increment();
-  UpdateGaugesLocked();
+  // Outside mu_, as in Insert: the inline scheduler publishes under mu_.
+  if (plan.has_value()) SubmitMerge(std::move(*plan));
   return Status::Ok();
 }
 
@@ -267,8 +325,8 @@ Status DynamicIndex::Delete(TransactionId gid) {
 
 size_t DynamicIndex::CountAtLevelLocked(int level) const {
   size_t count = 0;
-  for (const auto& component : state_.components) {
-    if (component->level == level) ++count;
+  for (const Part& part : state_.components) {
+    if (part.component->level == level) ++count;
   }
   return count;
 }
@@ -276,23 +334,35 @@ size_t DynamicIndex::CountAtLevelLocked(int level) const {
 std::optional<DynamicIndex::MergePlan> DynamicIndex::MaybeStartMergeLocked() {
   if (merge_in_flight_ || scheduler_.stopping()) return std::nullopt;
   int max_level = -1;
-  for (const auto& component : state_.components) {
-    max_level = std::max(max_level, component->level);
-  }
-  // One merge in flight at a time, lowest overflowing level first; cascades
-  // re-check at publish.
-  for (int level = 0; level <= max_level; ++level) {
-    if (CountAtLevelLocked(level) < options_.level_fanout) continue;
-    MergePlan plan;
-    plan.out_level = level + 1;
-    plan.tombstones = state_.tombstones;
-    for (const auto& component : state_.components) {
-      if (component->level == level) plan.victims.push_back(component);
+  const Part* stale = nullptr;  // First component past the delete bound.
+  for (const Part& part : state_.components) {
+    max_level = std::max(max_level, part.component->level);
+    if (stale == nullptr &&
+        static_cast<double>(part.deleted_count()) >
+            kMaxDeletedFraction * static_cast<double>(part.component->size())) {
+      stale = &part;
     }
-    merge_in_flight_ = true;
-    return plan;
   }
-  return std::nullopt;
+  // One reconstruction in flight at a time, lowest overflowing level first;
+  // cascades and pending rewrites re-check at publish.
+  MergePlan plan;
+  for (int level = 0; level <= max_level && plan.victims.empty(); ++level) {
+    if (CountAtLevelLocked(level) < options_.level_fanout) continue;
+    plan.out_level = level + 1;
+    for (const Part& part : state_.components) {
+      if (part.component->level == level) plan.victims.push_back(part);
+    }
+  }
+  // Delete-proportion rewrite: rebuild the stale component alone at its own
+  // level, which purges its deleted rows.
+  if (plan.victims.empty() && stale != nullptr) {
+    plan.out_level = stale->component->level;
+    plan.rewrite = true;
+    plan.victims.push_back(*stale);
+  }
+  if (plan.victims.empty()) return std::nullopt;
+  merge_in_flight_ = true;
+  return plan;
 }
 
 void DynamicIndex::SubmitMerge(MergePlan plan) {
@@ -309,9 +379,8 @@ void DynamicIndex::SubmitMerge(MergePlan plan) {
 
 void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
   ScopedTimer timer(metrics_.merge_latency);
-  // Phase 1: gather. Victims are immutable, so no lock is needed; the plan's
-  // tombstone snapshot decides which rows die (later deletes stay tombstoned
-  // against the merged component).
+  // Phase 1: gather. Victims and their claim-time bitmaps are immutable, so
+  // no lock is needed; rows deleted later carry over at publish.
   if (budget.cancelled() || budget.deadline_expired()) {
     MutexLock lock(&mu_);
     AbandonMergeLocked();
@@ -322,23 +391,18 @@ void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
     const Transaction* txn;
   };
   std::vector<GatheredRow> gathered;
-  std::vector<TransactionId> applied;
-  const std::vector<TransactionId>& tombstones = *plan.tombstones;
-  for (const auto& victim : plan.victims) {
-    for (size_t i = 0; i < victim->gids.size(); ++i) {
-      const TransactionId gid = victim->gids[i];
-      if (std::binary_search(tombstones.begin(), tombstones.end(), gid)) {
-        applied.push_back(gid);
-        continue;
-      }
-      gathered.push_back({gid, &victim->rows.Get(static_cast<TransactionId>(i))});
+  for (const Part& victim : plan.victims) {
+    const DynComponent& component = *victim.component;
+    for (size_t i = 0; i < component.gids.size(); ++i) {
+      const auto row = static_cast<TransactionId>(i);
+      if (victim.deleted != nullptr && victim.deleted->contains(row)) continue;
+      gathered.push_back({component.gids[i], &component.rows.Get(row)});
     }
   }
   std::sort(gathered.begin(), gathered.end(),
             [](const GatheredRow& a, const GatheredRow& b) {
               return a.gid < b.gid;
             });
-  std::sort(applied.begin(), applied.end());
 
   // Phase 2: build — the expensive re-mining pass, entirely off-lock.
   if (budget.cancelled() || budget.deadline_expired()) {
@@ -361,50 +425,58 @@ void DynamicIndex::RunMerge(const MergePlan& plan, const QueryBudget& budget) {
 
   // Phase 3: publish. A cancellation here still abandons — the built
   // component is simply dropped; victims remain authoritative.
-  std::optional<MergePlan> cascade;
+  std::optional<MergePlan> next;
   {
     MutexLock lock(&mu_);
     if (budget.cancelled()) {
       AbandonMergeLocked();
       return;
     }
-    cascade = PublishMergeLocked(plan, std::move(merged), applied);
+    next = PublishMergeLocked(plan, std::move(merged));
   }
-  if (cascade.has_value()) SubmitMerge(std::move(*cascade));
+  if (next.has_value()) SubmitMerge(std::move(*next));
 }
 
 std::optional<DynamicIndex::MergePlan> DynamicIndex::PublishMergeLocked(
-    const MergePlan& plan, std::shared_ptr<const DynComponent> merged,
-    const std::vector<TransactionId>& applied) {
-  auto is_victim = [&plan](const std::shared_ptr<const DynComponent>& c) {
-    for (const auto& victim : plan.victims) {
-      if (victim.get() == c.get()) return true;
+    const MergePlan& plan, std::shared_ptr<const DynComponent> merged) {
+  auto claimed = [&plan](const DynComponent* c) -> const Part* {
+    for (const Part& victim : plan.victims) {
+      if (victim.component.get() == c) return &victim;
     }
-    return false;
+    return nullptr;
   };
+  // Deletes that landed on a victim after the claim: its rows are in
+  // `merged`, so they are re-flagged there (by gid) before it goes live.
+  std::shared_ptr<DeletedRows> carried;
   size_t removed = 0;
   auto& components = state_.components;
   for (size_t i = 0; i < components.size();) {
-    if (is_victim(components[i])) {
-      components.erase(components.begin() + static_cast<ptrdiff_t>(i));
-      ++removed;
-    } else {
+    const Part* victim = claimed(components[i].component.get());
+    if (victim == nullptr) {
       ++i;
+      continue;
     }
+    const DeletedRows* now = components[i].deleted.get();
+    if (now != nullptr && now != victim->deleted.get()) {
+      MBI_CHECK(merged != nullptr);
+      CarryOverDeletes(victim->deleted.get(), *victim->component, *now,
+                       *merged, &carried);
+    }
+    deleted_rows_ -= components[i].deleted_count();
+    components.erase(components.begin() + static_cast<ptrdiff_t>(i));
+    ++removed;
   }
   MBI_CHECK(removed == plan.victims.size());
-  if (merged != nullptr) components.push_back(std::move(merged));
-  if (!applied.empty()) {
-    auto remaining = std::make_shared<std::vector<TransactionId>>();
-    const std::vector<TransactionId>& current = *state_.tombstones;
-    std::set_difference(current.begin(), current.end(), applied.begin(),
-                        applied.end(), std::back_inserter(*remaining));
-    state_.tombstones = std::move(remaining);
+  if (merged != nullptr) {
+    if (carried != nullptr) deleted_rows_ += carried->count();
+    components.push_back({std::move(merged), std::move(carried)});
   }
   merge_in_flight_ = false;
-  if (metrics_.merges != nullptr) metrics_.merges->Increment();
+  Counter* published = plan.rewrite ? metrics_.rewrites : metrics_.merges;
+  if (published != nullptr) published->Increment();
   UpdateGaugesLocked();
-  // Cascade: the merged run may overflow its destination level.
+  // Cascade: the merged run may overflow its destination level, or a
+  // component crossed the delete bound while this one was in flight.
   return MaybeStartMergeLocked();
 }
 
@@ -424,14 +496,13 @@ Status DynamicIndex::Compact() {
     MutexLock lock(&mu_);
     if (merge_in_flight_) continue;
     if (state_.buffer->size() > 0) SpillLocked();
-    if (state_.components.size() <= 1 && state_.tombstones->empty()) {
+    if (state_.components.size() <= 1 && deleted_rows_ == 0) {
       return Status::Ok();  // Already fully compacted.
     }
     plan.victims = state_.components;
-    plan.tombstones = state_.tombstones;
     int max_level = 0;
-    for (const auto& component : state_.components) {
-      max_level = std::max(max_level, component->level);
+    for (const Part& part : state_.components) {
+      max_level = std::max(max_level, part.component->level);
     }
     plan.out_level = max_level + 1;
     merge_in_flight_ = true;
@@ -448,19 +519,22 @@ void DynamicIndex::WaitForMaintenance() const { scheduler_.Drain(); }
 
 // --- Queries ----------------------------------------------------------------
 
-uint64_t DynamicIndex::QueryComponent(const DynComponent& component,
+uint64_t DynamicIndex::QueryComponent(const Part& part,
                                       const Transaction& target,
                                       const SimilarityFamily& family,
                                       size_t k_component,
                                       const SearchOptions& options,
                                       DynQueryContext* context) const {
+  const DynComponent& component = *part.component;
   NearestNeighborResult* out = &context->component_result;
   if (component.quarantined) {
     component.scanner->FindKNearest(target, family, k_component,
-                                    options.budget, out);
+                                    options.budget, out, part.deleted.get());
     out->stats.sequential_fallbacks = 1;
   } else {
-    component.engine->FindKNearest(target, family, k_component, options,
+    SearchOptions filtered = options;
+    filtered.deleted_rows = part.deleted.get();
+    component.engine->FindKNearest(target, family, k_component, filtered,
                                    &context->context, out);
   }
   // Map component-local ids to global ids before the merge sees them.
@@ -482,13 +556,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
     snapshot = state_;
   }
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
-
-  // The tombstone vector must outlive the merge even if a concurrent delete
-  // republishes state_.tombstones, so pin a copy in the context (reused
-  // capacity; typically tiny).
-  context->tombstone_snapshot.assign(snapshot.tombstones->begin(),
-                                     snapshot.tombstones->end());
-  context->merger.Reset(k, &context->tombstone_snapshot);
+  context->merger.Reset(k);
 
   const QueryBudget budget =
       QueryBudget::Tightest(options.budget, context->context.budget());
@@ -499,12 +567,17 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   // --- Buffer scan: exact, row units, chunked budget checks. ---
   context->packed.Assign(target, universe_size_);
   const size_t buffered = snapshot.buffer->size();
+  // Every flagged slot was published before the snapshot, so it lies below
+  // `buffered`.
+  const DeletedRows* buffer_deleted = snapshot.buffer_deleted.get();
   uint64_t charged = 0;
   QueryStats buffer_stats;
-  buffer_stats.database_size = buffered;
+  buffer_stats.database_size =
+      buffered - (buffer_deleted != nullptr ? buffer_deleted->count() : 0);
   buffer_stats.entries_total = buffered;
   if (buffered > 0) {
     size_t scanned = 0;
+    uint64_t evaluated = 0;
     bool expired = false;
     while (scanned < buffered) {
       // Min-one-chunk rule: the first chunk always scans; later chunks check
@@ -528,6 +601,10 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       }
       const size_t end = std::min(buffered, scanned + kBufferScanChunk);
       for (; scanned < end; ++scanned) {
+        if (buffer_deleted != nullptr &&
+            buffer_deleted->contains(static_cast<TransactionId>(scanned))) {
+          continue;
+        }
         const BufferedRow& row = snapshot.buffer->row(scanned);
         size_t match = 0;
         size_t hamming = 0;
@@ -535,10 +612,11 @@ void DynamicIndex::FindKNearest(const Transaction& target,
         context->merger.AddCandidate(
             row.gid, similarity.Evaluate(static_cast<int>(match),
                                          static_cast<int>(hamming)));
+        ++evaluated;
       }
     }
     buffer_stats.entries_scanned = scanned;
-    buffer_stats.transactions_evaluated = scanned;
+    buffer_stats.transactions_evaluated = evaluated;
     buffer_stats.entries_unexplored = buffered - scanned;
     if (expired) {
       buffer_stats.is_exact = false;
@@ -549,11 +627,14 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   context->merger.AddStats(buffer_stats);
 
   // --- Component fan-out. ---
-  // Each component is asked for k + |tombstones| so the merge stays sound
-  // (KnnMerger invariants); the budget's entry cap is split across the
-  // fan-out by charging each component's scan units as they accrue.
-  const size_t k_component = k + context->tombstone_snapshot.size();
-  for (const auto& component : snapshot.components) {
+  // Each part drops its deleted rows inside its own scan, so its answer is
+  // exact over its live rows and plain k suffices (KnnMerger invariants);
+  // the budget's entry cap is split across the fan-out by charging each
+  // component's scan units as they accrue.
+  for (const Part& part : snapshot.components) {
+    const size_t live = part.live();
+    // Every row deleted: nothing to answer (its pending rewrite drops it).
+    if (live == 0) continue;
     QueryTermination skip_cause = QueryTermination::kCompleted;
     if (budget.cancelled()) {
       skip_cause = QueryTermination::kCancelled;
@@ -567,9 +648,9 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       // unexplored under the pointwise bound (the min-one rule already ran
       // at least one probe somewhere).
       QueryStats skipped;
-      skipped.database_size = component->size();
-      skipped.entries_total = component->size();
-      skipped.entries_unexplored = component->size();
+      skipped.database_size = live;
+      skipped.entries_total = part.component->size();
+      skipped.entries_unexplored = part.component->size();
       skipped.termination = skip_cause;
       skipped.is_exact = false;
       skipped.certificate_bound = optimistic;
@@ -584,9 +665,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       // The component's own min-one rule guarantees progress even at 0.
       component_options.budget.max_entries = remaining;
     }
-    const size_t capped_k = std::min(k_component, component->size());
-    charged += QueryComponent(*component, target, family,
-                              std::max<size_t>(capped_k, 1),
+    charged += QueryComponent(part, target, family, std::min(k, live),
                               component_options, context);
     context->merger.AddComponent(context->component_result);
   }
@@ -674,7 +753,7 @@ size_t DynamicIndex::buffered_rows() const {
 
 size_t DynamicIndex::tombstone_count() const {
   MutexLock lock(&mu_);
-  return state_.tombstones->size();
+  return deleted_rows_;
 }
 
 TransactionId DynamicIndex::next_gid() const {
@@ -685,7 +764,8 @@ TransactionId DynamicIndex::next_gid() const {
 std::vector<DynamicIndex::LevelInfo> DynamicIndex::LevelBreakdown() const {
   MutexLock lock(&mu_);
   std::vector<LevelInfo> breakdown;
-  for (const auto& component : state_.components) {
+  for (const Part& part : state_.components) {
+    const DynComponent* component = part.component.get();
     LevelInfo* info = nullptr;
     for (LevelInfo& existing : breakdown) {
       if (existing.level == component->level) {
@@ -711,29 +791,53 @@ Status DynamicIndex::CheckInvariants() const {
   State snapshot;
   TransactionId next_gid;
   size_t live_rows;
+  size_t deleted_rows;
   {
     MutexLock lock(&mu_);
     snapshot = state_;
     next_gid = next_gid_;
     live_rows = live_rows_;
+    deleted_rows = deleted_rows_;
   }
+  size_t flagged = 0;
   std::vector<TransactionId> all_gids;
-  for (const auto& component : snapshot.components) {
-    if (component->gids.size() != component->rows.size()) {
+  for (const Part& part : snapshot.components) {
+    const DynComponent& component = *part.component;
+    if (component.gids.size() != component.rows.size()) {
       return Status::Corruption("component gid map size mismatch");
     }
-    if (!std::is_sorted(component->gids.begin(), component->gids.end())) {
+    if (!std::is_sorted(component.gids.begin(), component.gids.end())) {
       return Status::Corruption("component gids not sorted");
     }
-    if (!component->quarantined && !component->table.has_value()) {
+    if (!component.quarantined && !component.table.has_value()) {
       return Status::Corruption("healthy component without a table");
     }
-    all_gids.insert(all_gids.end(), component->gids.begin(),
-                    component->gids.end());
+    if (part.deleted != nullptr &&
+        part.deleted->size() != component.size()) {
+      return Status::Corruption("deleted bitmap does not cover its component");
+    }
+    flagged += part.deleted_count();
+    all_gids.insert(all_gids.end(), component.gids.begin(),
+                    component.gids.end());
   }
   const size_t buffered = snapshot.buffer->size();
   for (size_t i = 0; i < buffered; ++i) {
-    all_gids.push_back(snapshot.buffer->row(i).gid);
+    const TransactionId gid = snapshot.buffer->row(i).gid;
+    if (i > 0 && gid <= snapshot.buffer->row(i - 1).gid) {
+      return Status::Corruption("buffer gids not ascending");
+    }
+    all_gids.push_back(gid);
+  }
+  if (const DeletedRows* deleted = snapshot.buffer_deleted.get()) {
+    flagged += deleted->count();
+    if (deleted->size() != snapshot.buffer->capacity()) {
+      return Status::Corruption("deleted bitmap does not cover the buffer");
+    }
+    for (size_t i = buffered; i < deleted->size(); ++i) {
+      if (deleted->contains(static_cast<TransactionId>(i))) {
+        return Status::Corruption("deleted flag on an empty buffer slot");
+      }
+    }
   }
   std::sort(all_gids.begin(), all_gids.end());
   if (std::adjacent_find(all_gids.begin(), all_gids.end()) !=
@@ -743,16 +847,10 @@ Status DynamicIndex::CheckInvariants() const {
   if (!all_gids.empty() && all_gids.back() >= next_gid) {
     return Status::Corruption("gid beyond the allocation watermark");
   }
-  const std::vector<TransactionId>& tombstones = *snapshot.tombstones;
-  if (!std::is_sorted(tombstones.begin(), tombstones.end())) {
-    return Status::Corruption("tombstones not sorted");
+  if (flagged != deleted_rows) {
+    return Status::Corruption("deleted-row accounting drifted");
   }
-  for (const TransactionId gid : tombstones) {
-    if (!std::binary_search(all_gids.begin(), all_gids.end(), gid)) {
-      return Status::Corruption("tombstone references a purged row");
-    }
-  }
-  if (all_gids.size() - tombstones.size() != live_rows) {
+  if (all_gids.size() - flagged != live_rows) {
     return Status::Corruption("live-row accounting drifted");
   }
   return Status::Ok();

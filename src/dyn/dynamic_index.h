@@ -19,6 +19,7 @@
 #include "dyn/scheduler.h"
 #include "txn/candidate_layout.h"
 #include "txn/database.h"
+#include "txn/deleted_rows.h"
 #include "txn/packed_target.h"
 #include "txn/transaction.h"
 #include "util/metrics.h"
@@ -49,8 +50,8 @@ struct DynComponent {
   int level = 0;
 
   /// Global transaction ids, ascending. Local row i of `rows` is global row
-  /// gids[i]; components partition the live gid space (plus tombstoned rows
-  /// not yet purged by a merge).
+  /// gids[i]; components partition the live gid space (plus deleted rows
+  /// not yet purged by a merge or rewrite).
   std::vector<TransactionId> gids;
 
   /// The component's rows under *local* ids [0, rows.size()).
@@ -94,7 +95,6 @@ struct DynQueryContext {
   KnnMerger merger;
   PackedTarget packed;
   std::unique_ptr<SimilarityFunction> similarity;
-  std::vector<TransactionId> tombstone_snapshot;
 };
 
 /// Per-batch workspace: per-shard contexts and results live here so repeated
@@ -147,10 +147,14 @@ struct DynamicIndexOptions {
 /// as the offline index. When a level accumulates `level_fanout` components
 /// they merge — re-mining the union so signatures track correlation drift —
 /// into one component a level up, on a background Scheduler off the query
-/// path. Deletes are tombstones, filtered at query time and purged by the
-/// first merge that consumes the row.
+/// path. Deletes are tagged: each published component (and the buffer)
+/// carries a copy-on-write DeletedRows bitmap over its local rows, and every
+/// scan drops flagged rows before the match kernel runs. A component more
+/// than a quarter deleted is rewritten alone at its own level, so deleted
+/// rows stay bounded by construction; level merges purge them too.
 ///
-/// Queries fan out across buffer + every component and merge under the
+/// Queries fan out across buffer + every component, asking each for plain k
+/// (a part's answer is exact over its live rows), and merge under the
 /// paper's optimistic-bound semantics (KnnMerger): values and cutoff-tie
 /// behaviour are bit-identical to one SequentialScanner over the live union
 /// (dyn_differential_test gates this), certificates merge as max, and a
@@ -175,7 +179,10 @@ class DynamicIndex {
   /// DynamicIndexOptions::max_l0_components.
   StatusOr<TransactionId> Insert(const Transaction& txn);
 
-  /// Tombstones a live row. kNotFound when `gid` was never assigned, is
+  /// Flags a live row deleted in its owning component's (or the buffer's)
+  /// bitmap; cost is one binary search per component plus one bitmap copy.
+  /// Claims a rewrite of the owning component once more than a quarter of
+  /// its rows are deleted. kNotFound when `gid` was never assigned, is
   /// already deleted, or was purged by a merge after deletion.
   Status Delete(TransactionId gid);
 
@@ -205,26 +212,26 @@ class DynamicIndex {
                          std::vector<NearestNeighborResult>* results) const;
 
   /// Merges everything (buffer + all levels) into a single component on the
-  /// calling thread and purges all applied tombstones. Concurrent queries
+  /// calling thread and purges every deleted row. Concurrent queries
   /// keep answering throughout; concurrent inserts are admitted.
   Status Compact();
 
   /// Blocks until no background reconstruction is running.
   void WaitForMaintenance() const;
 
-  /// Structural self-check (gid partition, tombstone validity, sorted
+  /// Structural self-check (gid partition, deleted-bitmap shapes, sorted
   /// invariants, live-row accounting). For tests and `mbi compact`.
   Status CheckInvariants() const;
 
   size_t universe_size() const { return universe_size_; }
   const DynamicIndexOptions& options() const { return options_; }
 
-  /// Rows inserted and not deleted. (Tombstoned rows still occupy space in
-  /// their component until a merge purges them.)
+  /// Rows inserted and not deleted. (Deleted rows still occupy space in
+  /// their component until a merge or rewrite purges them.)
   size_t live_size() const;
 
-  /// Published components, buffer fill, tombstone count — for tests, tools,
-  /// and metrics.
+  /// Published components, buffer fill, and deleted-but-unpurged rows (the
+  /// sum of the bitmap counts) — for tests, tools, and metrics.
   size_t num_components() const;
   size_t buffered_rows() const;
   size_t tombstone_count() const;
@@ -240,34 +247,54 @@ class DynamicIndex {
  private:
   friend struct DynIo;  // Persistence (dyn/dyn_io.h) rebuilds state directly.
 
+  /// A component as published: the immutable run plus its copy-on-write
+  /// deleted-row bitmap over local ids (null while nothing is deleted, so an
+  /// untouched component runs the unfiltered engine path).
+  struct Part {
+    std::shared_ptr<const DynComponent> component;
+    std::shared_ptr<const DeletedRows> deleted;
+
+    size_t deleted_count() const {
+      return deleted != nullptr ? deleted->count() : 0;
+    }
+    size_t live() const { return component->size() - deleted_count(); }
+  };
+
   /// The queryable state, swapped atomically under mu_. Queries copy the
-  /// shared_ptrs and drop the lock; old buffers/components/tombstone vectors
-  /// stay alive for as long as any in-flight query pins them.
+  /// shared_ptrs and drop the lock; old buffers/components/bitmaps stay
+  /// alive for as long as any in-flight query pins them.
   struct State {
     /// Non-const only for the Append path (serialized under mu_); query
     /// snapshots touch const methods exclusively.
     std::shared_ptr<MutableBuffer> buffer;
-    std::vector<std::shared_ptr<const DynComponent>> components;
-    std::shared_ptr<const std::vector<TransactionId>> tombstones;
+    /// Deleted buffer slots (bitmap over the buffer's capacity; null while
+    /// none). Replaced together with `buffer` at every spill.
+    std::shared_ptr<const DeletedRows> buffer_deleted;
+    std::vector<Part> components;
   };
 
   /// A planned reconstruction: consume `victims`, publish one component at
-  /// `out_level`. Tombstones in `tombstones` (the snapshot at plan time)
-  /// that hit a victim row are applied (row dropped) and purged at publish.
+  /// `out_level`. Each victim's bitmap is the one at claim time: those rows
+  /// are dropped, and deletes that land later carry over at publish.
+  /// `rewrite` marks a delete-proportion rewrite (one victim, same level).
   struct MergePlan {
-    std::vector<std::shared_ptr<const DynComponent>> victims;
-    std::shared_ptr<const std::vector<TransactionId>> tombstones;
+    std::vector<Part> victims;
     int out_level = 0;
+    bool rewrite = false;
   };
 
   Status AppendRowLocked(TransactionId gid, const Transaction& txn)
       MBI_REQUIRES(mu_);
-  /// Freezes the buffer into a level-0 component (dropping tombstoned rows,
-  /// purging their tombstones) and installs a fresh buffer.
+  /// Freezes the buffer into a level-0 component (dropping deleted rows) and
+  /// installs a fresh buffer.
   void SpillLocked() MBI_REQUIRES(mu_);
-  /// Claims the lowest overflowing level's merge (setting merge_in_flight_)
-  /// and returns its plan, or nullopt when nothing overflows or a merge is
-  /// already running. The caller MUST release mu_ and pass the plan to
+  /// Flags `gid` in the bitmap of the part (or buffer) that owns it.
+  Status MarkDeletedLocked(TransactionId gid) MBI_REQUIRES(mu_);
+  /// Claims one reconstruction (setting merge_in_flight_) and returns its
+  /// plan: the lowest overflowing level's merge first, else the rewrite of a
+  /// component more than kMaxDeletedFraction deleted. nullopt when neither
+  /// applies or a reconstruction is already running. The caller MUST release
+  /// mu_ and pass the plan to
   /// SubmitMerge — submitting under mu_ deadlocks the inline (null-pool)
   /// scheduler, whose job re-acquires mu_ to publish.
   std::optional<MergePlan> MaybeStartMergeLocked() MBI_REQUIRES(mu_);
@@ -276,22 +303,22 @@ class DynamicIndex {
   void SubmitMerge(MergePlan plan);
   size_t CountAtLevelLocked(int level) const
       MBI_REQUIRES(mu_);
-  /// The three-phase background job: gather (drop tombstoned victims' rows),
+  /// The three-phase background job: gather (drop victims' deleted rows),
   /// build (re-mine the union), publish. Polls `budget` between phases and
   /// abandons — leaving victims queryable — on expiry or cancellation.
   void RunMerge(const MergePlan& plan, const QueryBudget& budget);
-  /// Swaps victims for the merged run, purges applied tombstones, and
-  /// returns the cascade plan when the destination level now overflows.
+  /// Swaps victims for the merged run, re-flags in it the victim rows
+  /// deleted since the claim, and returns the next claimed plan (a cascade
+  /// or a pending rewrite), if any.
   std::optional<MergePlan> PublishMergeLocked(
-      const MergePlan& plan, std::shared_ptr<const DynComponent> merged,
-      const std::vector<TransactionId>& applied) MBI_REQUIRES(mu_);
+      const MergePlan& plan, std::shared_ptr<const DynComponent> merged)
+      MBI_REQUIRES(mu_);
   void AbandonMergeLocked() MBI_REQUIRES(mu_);
   void UpdateGaugesLocked() MBI_REQUIRES(mu_);
 
   /// One component's contribution to the fan-out. Returns entries charged
   /// (in the component path's unit) so the caller can split max_entries.
-  uint64_t QueryComponent(const DynComponent& component,
-                          const Transaction& target,
+  uint64_t QueryComponent(const Part& part, const Transaction& target,
                           const SimilarityFamily& family, size_t k_component,
                           const SearchOptions& options,
                           DynQueryContext* context) const;
@@ -303,6 +330,9 @@ class DynamicIndex {
   State state_ MBI_GUARDED_BY(mu_);
   TransactionId next_gid_ MBI_GUARDED_BY(mu_) = 0;
   size_t live_rows_ MBI_GUARDED_BY(mu_) = 0;
+  /// Deleted-but-unpurged rows: the sum of every published bitmap's count,
+  /// kept alongside the bitmaps (CheckInvariants recomputes it).
+  size_t deleted_rows_ MBI_GUARDED_BY(mu_) = 0;
   bool merge_in_flight_ MBI_GUARDED_BY(mu_) = false;
 
   mutable Scheduler scheduler_;
@@ -312,6 +342,7 @@ class DynamicIndex {
     Counter* deletes = nullptr;
     Counter* spills = nullptr;
     Counter* merges = nullptr;
+    Counter* rewrites = nullptr;
     Counter* merges_abandoned = nullptr;
     Counter* backpressure = nullptr;
     Counter* queries = nullptr;

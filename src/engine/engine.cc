@@ -143,14 +143,14 @@ void SignatureTableEngine::RecordQuery(const QueryStats& stats, bool is_range,
 
 NearestNeighborResult SignatureTableEngine::SequentialKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
-    const QueryBudget& budget) const {
+    const QueryBudget& budget, const DeletedRows* deleted) const {
   fallback_queries_.fetch_add(1, std::memory_order_relaxed);
   // The budget-aware scanner fills the complete QueryStats — including the
   // termination / is_exact / certificate_bound trio, which an earlier
   // version of this path silently dropped by rebuilding the stats by hand
   // (query_budget_test pins the regression).
   NearestNeighborResult result;
-  scanner_.FindKNearest(target, family, k, budget, &result);
+  scanner_.FindKNearest(target, family, k, budget, &result, deleted);
   result.stats.sequential_fallbacks = 1;
   return result;
 }
@@ -174,7 +174,8 @@ NearestNeighborResult SignatureTableEngine::FindKNearestImpl(
         target, family, k,
         context != nullptr
             ? QueryBudget::Tightest(options.budget, context->budget())
-            : options.budget);
+            : options.budget,
+        options.deleted_rows);
   }
   if (context != nullptr) {
     return engine_->FindKNearest(target, family, k, options, context);
@@ -198,6 +199,8 @@ NearestNeighborResult SignatureTableEngine::FindKNearest(
 RangeQueryResult SignatureTableEngine::FindInRangeImpl(
     const Transaction& target, const SimilarityFamily& family,
     double threshold, const SearchOptions& options) const {
+  MBI_CHECK_MSG(options.deleted_rows == nullptr,
+                "range queries do not filter deleted rows");
   if (!healthy()) {
     return SequentialInRange(target, family, threshold, options.budget);
   }
@@ -230,7 +233,8 @@ std::vector<NearestNeighborResult> SignatureTableEngine::FindKNearestBatch(
     // until the index is rebuilt.
     results.reserve(targets.size());
     for (const Transaction& target : targets) {
-      results.push_back(SequentialKNearest(target, family, k, options.budget));
+      results.push_back(SequentialKNearest(target, family, k, options.budget,
+                                           options.deleted_rows));
     }
   }
   if (metrics_enabled_) {

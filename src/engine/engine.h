@@ -159,8 +159,8 @@ class SignatureTableEngine {
 
   NearestNeighborResult SequentialKNearest(const Transaction& target,
                                            const SimilarityFamily& family,
-                                           size_t k,
-                                           const QueryBudget& budget) const;
+                                           size_t k, const QueryBudget& budget,
+                                           const DeletedRows* deleted) const;
   RangeQueryResult SequentialInRange(const Transaction& target,
                                      const SimilarityFamily& family,
                                      double threshold,

@@ -1,6 +1,6 @@
 // TSan-oriented interleaving tests for the dynamized index: concurrent
-// inserts, deletes, queries, background merges, and a foreground compaction
-// all race against one DynamicIndex. Like stress_concurrency_test.cc the
+// inserts, deletes, queries, background merges, delete-proportion rewrites,
+// and a foreground compaction all race against one DynamicIndex. Like stress_concurrency_test.cc the
 // assertions stay simple (no lost rows, invariants hold, every answer
 // internally consistent) — the point is to give the thread sanitizer
 // interleavings to object to, with a final differential check proving
@@ -20,6 +20,7 @@
 #include "baseline/sequential_scan.h"
 #include "dyn/dynamic_index.h"
 #include "gen/quest_generator.h"
+#include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace mbi {
@@ -193,6 +194,105 @@ TEST(DynConcurrencyTest, DeletesAndCompactionRaceQueries) {
   for (size_t i = 0; i < gids.size(); ++i) {
     if (i % 3 == 0) {
       EXPECT_EQ(returned.count(gids[i]), 0u) << "deleted gid came back";
+    }
+  }
+}
+
+TEST(DynConcurrencyTest, DeletesRewritesAndQueriesRace) {
+  const uint64_t seed = FaultSeed();
+  QuestGeneratorConfig config;
+  config.universe_size = 150;
+  config.num_large_itemsets = 30;
+  config.seed = 4200 + seed;
+  QuestGenerator generator(config);
+
+  ThreadPool merge_pool(2);
+  MetricsRegistry registry;
+  DynamicIndexOptions options;
+  options.buffer_capacity = 8;
+  options.level_fanout = 3 + static_cast<size_t>(seed % 2);
+  options.build.clustering.target_cardinality = 6;
+  options.pool = &merge_pool;
+  options.metrics = &registry;
+  DynamicIndex index(150, options);
+
+  constexpr size_t kLive = 128;
+  constexpr size_t kPairs = 160;
+  std::vector<Transaction> by_gid;
+  for (size_t i = 0; i < kLive + kPairs; ++i) {
+    by_gid.push_back(generator.NextTransaction());
+  }
+  auto insert = [&index](const Transaction& txn) {
+    for (;;) {  // Backpressure is a retry signal, never data loss.
+      StatusOr<TransactionId> gid = index.Insert(txn);
+      if (gid.ok()) return gid.value();
+      EXPECT_EQ(gid.status().code(), StatusCode::kUnavailable);
+      std::this_thread::yield();
+    }
+  };
+  for (size_t i = 0; i < kLive; ++i) insert(by_gid[i]);
+  index.WaitForMaintenance();
+
+  // Oldest-first churn: deletes pile onto the oldest component until the
+  // delete-proportion rule rewrites it in the background. `deleted_below`
+  // publishes how many of the oldest gids are gone.
+  std::atomic<size_t> deleted_below{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (size_t i = 0; i < kPairs; ++i) {
+      EXPECT_EQ(insert(by_gid[kLive + i]), kLive + i);
+      EXPECT_TRUE(index.Delete(static_cast<TransactionId>(i)).ok());
+      deleted_below.store(i + 1, std::memory_order_release);
+      std::this_thread::yield();
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      const MatchRatioFamily family;
+      QuestGeneratorConfig qconfig;
+      qconfig.universe_size = 150;
+      qconfig.seed = 5200 + seed * 10 + static_cast<uint64_t>(r);
+      QuestGenerator queries(qconfig);
+      DynQueryContext context;
+      NearestNeighborResult result;
+      while (!done.load()) {
+        // A delete that returned before the query began is never visible.
+        const size_t gone = deleted_below.load(std::memory_order_acquire);
+        index.FindKNearest(queries.NextTransaction(), family, 6,
+                           SearchOptions{}, &context, &result);
+        EXPECT_TRUE(result.guaranteed_exact);
+        EXPECT_EQ(result.neighbors.size(), 6u);
+        for (const Neighbor& neighbor : result.neighbors) {
+          EXPECT_GE(neighbor.id, gone) << "deleted gid came back";
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  index.WaitForMaintenance();
+
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  EXPECT_EQ(index.live_size(), kLive);
+  EXPECT_GE(registry.FindCounter("mbi.dyn.rewrites")->value(), 1u);
+
+  // Differential epilogue over the live rows, gids [kPairs, kLive + kPairs).
+  TransactionDatabase oracle(150);
+  for (size_t gid = kPairs; gid < kLive + kPairs; ++gid) {
+    oracle.Add(by_gid[gid]);
+  }
+  const SequentialScanner scanner(&oracle);
+  const MatchRatioFamily family;
+  for (int q = 0; q < 3; ++q) {
+    const Transaction target = generator.NextTransaction();
+    NearestNeighborResult result = index.FindKNearest(target, family, 8);
+    const std::vector<Neighbor> expected =
+        scanner.FindKNearest(target, family, 8);
+    ASSERT_EQ(result.neighbors.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(result.neighbors[i].similarity, expected[i].similarity);
     }
   }
 }

@@ -1,5 +1,6 @@
 // Unit tests for the Bentley–Saxe dynamization (src/dyn/): buffer and spill
-// mechanics, leveling/merge policy, tombstone purging, admission control,
+// mechanics, leveling/merge policy, tagged deletes (per-part deleted
+// bitmaps, the delete-proportion rewrite and its bound), admission control,
 // compaction, persistence (including per-component quarantine), and the
 // KnnMerger invariants. Cross-checking against the sequential-scan oracle
 // lives in dyn_differential_test.cc; TSan interleavings in
@@ -8,10 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "baseline/sequential_scan.h"
 #include "dyn/dyn_io.h"
 #include "dyn/dynamic_index.h"
 #include "dyn/knn_merger.h"
@@ -54,6 +58,50 @@ std::vector<TransactionId> FillIndex(DynamicIndex* index,
     gids.push_back(gid.value());
   }
   return gids;
+}
+
+/// Inserts `n` generated rows like FillIndex, also recording each row under
+/// its gid (the oracle's source of truth).
+std::vector<TransactionId> FillRecorded(DynamicIndex* index,
+                                        QuestGenerator* generator, size_t n,
+                                        std::vector<Transaction>* by_gid) {
+  std::vector<TransactionId> gids;
+  for (size_t i = 0; i < n; ++i) {
+    Transaction txn = generator->NextTransaction();
+    auto gid = index->Insert(txn);
+    EXPECT_TRUE(gid.ok()) << gid.status().ToString();
+    if (by_gid->size() <= gid.value()) by_gid->resize(gid.value() + 1);
+    (*by_gid)[gid.value()] = std::move(txn);
+    gids.push_back(gid.value());
+  }
+  return gids;
+}
+
+/// Exact top-k similarity values over the rows of `by_gid` not in
+/// `deleted`, by SequentialScanner.
+std::vector<double> LiveOracle(const std::vector<Transaction>& by_gid,
+                               const std::set<TransactionId>& deleted,
+                               const Transaction& target,
+                               const SimilarityFamily& family, size_t k) {
+  TransactionDatabase live(200);
+  for (TransactionId gid = 0; gid < by_gid.size(); ++gid) {
+    if (deleted.count(gid) == 0) live.Add(by_gid[gid]);
+  }
+  std::vector<double> values;
+  for (const Neighbor& neighbor :
+       SequentialScanner(&live).FindKNearest(target, family, k)) {
+    values.push_back(neighbor.similarity);
+  }
+  return values;
+}
+
+/// Similarity values of `result`, in order.
+std::vector<double> Values(const NearestNeighborResult& result) {
+  std::vector<double> values;
+  for (const Neighbor& neighbor : result.neighbors) {
+    values.push_back(neighbor.similarity);
+  }
+  return values;
 }
 
 TEST(MutableBufferTest, AppendsUntilFullAndPublishesInOrder) {
@@ -257,6 +305,228 @@ TEST(DynamicIndexTest, MetricsTrackTheLifecycle) {
   EXPECT_GE(registry.FindCounter("mbi.dyn.merges")->value(), 1u);
   EXPECT_EQ(registry.FindCounter("mbi.dyn.queries")->value(), 1u);
   EXPECT_EQ(registry.FindGauge("mbi.dyn.live_rows")->value(), 19.0);
+  EXPECT_EQ(registry.FindGauge("mbi.dyn.tombstones")->value(), 1.0);
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 0u);
+
+  // 20 rows at capacity 8 / fanout 2: one 16-row level-1 run + 4 buffered.
+  // gids 0..15 live in that run. A fifth deleted row (5/16 > 1/4) triggers
+  // a rewrite, which is counted apart from level merges and purges the
+  // deleted rows.
+  const uint64_t merges = registry.FindCounter("mbi.dyn.merges")->value();
+  for (size_t i = 1; i < 4; ++i) ASSERT_TRUE(index.Delete(gids[i]).ok());
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 0u);
+  EXPECT_EQ(registry.FindGauge("mbi.dyn.tombstones")->value(), 4.0);
+  ASSERT_TRUE(index.Delete(gids[4]).ok());
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.merges")->value(), merges);
+  EXPECT_EQ(registry.FindGauge("mbi.dyn.tombstones")->value(), 0.0);
+  EXPECT_EQ(registry.FindGauge("mbi.dyn.live_rows")->value(), 15.0);
+}
+
+TEST(DynamicIndexTest, ChurnKeepsDeletedRowsUnderTheProportionBound) {
+  DynamicIndexOptions options;
+  options.buffer_capacity = 16;
+  options.level_fanout = 3;
+  options.build.clustering.target_cardinality = 6;
+  QuestGenerator generator(GeneratorConfig(4242));
+  DynamicIndex index(200, options);
+  std::vector<Transaction> by_gid;
+  FillRecorded(&index, &generator, 200, &by_gid);
+
+  // Oldest-first insert+delete churn: every delete lands in the oldest
+  // component, the case where deleted rows used to pile up unpurged.
+  std::set<TransactionId> deleted;
+  MatchRatioFamily family;
+  size_t max_tombstones = 0;
+  for (TransactionId oldest = 0; oldest < 400; ++oldest) {
+    FillRecorded(&index, &generator, 1, &by_gid);
+    ASSERT_TRUE(index.Delete(oldest).ok());
+    deleted.insert(oldest);
+
+    size_t component_rows = 0;
+    for (const auto& level : index.LevelBreakdown()) {
+      component_rows += level.rows;
+    }
+    // Each component holds at most a quarter of its rows deleted (the
+    // inline scheduler finishes every claimed rewrite before Delete
+    // returns), so the sum stays within a quarter of all component rows.
+    const size_t bound =
+        static_cast<size_t>(std::ceil(0.25 * static_cast<double>(
+                                                 component_rows))) +
+        index.buffered_rows();
+    ASSERT_LE(index.tombstone_count(), bound) << "after delete " << oldest;
+    ASSERT_TRUE(index.CheckInvariants().ok()) << "after delete " << oldest;
+    ASSERT_EQ(index.live_size(), 200u);
+    max_tombstones = std::max(max_tombstones, index.tombstone_count());
+
+    if (oldest % 50 == 49) {
+      const Transaction target = generator.NextTransaction();
+      NearestNeighborResult result = index.FindKNearest(target, family, 6);
+      EXPECT_TRUE(result.guaranteed_exact);
+      EXPECT_EQ(Values(result),
+                LiveOracle(by_gid, deleted, target, family, 6));
+      for (const Neighbor& neighbor : result.neighbors) {
+        EXPECT_EQ(deleted.count(neighbor.id), 0u);
+      }
+    }
+  }
+  // The bound is not vacuous: deleted rows did accumulate between rewrites.
+  EXPECT_GT(max_tombstones, 0u);
+}
+
+TEST(DynamicIndexTest, DeletingAComponentsTopKKeepsTheAnswerExact) {
+  // One 64-row component plus a partly filled buffer, so the component's
+  // true top-k is a scan over gids [0, 64).
+  DynamicIndexOptions options;
+  options.buffer_capacity = 64;
+  options.level_fanout = 4;
+  options.build.clustering.target_cardinality = 6;
+  QuestGenerator generator(GeneratorConfig(99));
+  DynamicIndex index(200, options);
+  std::vector<Transaction> by_gid;
+  FillRecorded(&index, &generator, 64 + 20, &by_gid);
+  ASSERT_EQ(index.num_components(), 1u);
+  ASSERT_EQ(index.buffered_rows(), 20u);
+
+  const Transaction target = generator.NextTransaction();
+  CosineFamily family;
+  constexpr size_t kK = 8;  // 8 of 64 rows: under the rewrite bound.
+  TransactionDatabase component_rows(200);
+  for (TransactionId gid = 0; gid < 64; ++gid) component_rows.Add(by_gid[gid]);
+  std::set<TransactionId> deleted;
+  for (const Neighbor& neighbor :
+       SequentialScanner(&component_rows).FindKNearest(target, family, kK)) {
+    deleted.insert(neighbor.id);  // Local id == gid in this component.
+  }
+  for (TransactionId gid : deleted) ASSERT_TRUE(index.Delete(gid).ok());
+  ASSERT_EQ(index.num_components(), 1u);  // Flagged, not rewritten.
+  ASSERT_EQ(index.tombstone_count(), kK);
+
+  NearestNeighborResult result = index.FindKNearest(target, family, kK);
+  ASSERT_EQ(result.neighbors.size(), kK);
+  EXPECT_TRUE(result.guaranteed_exact);
+  EXPECT_EQ(Values(result), LiveOracle(by_gid, deleted, target, family, kK));
+  for (const Neighbor& neighbor : result.neighbors) {
+    EXPECT_EQ(deleted.count(neighbor.id), 0u);
+  }
+  EXPECT_LE(result.stats.transactions_evaluated, index.live_size());
+  EXPECT_EQ(result.stats.database_size, index.live_size());
+
+  // With k = every live row nothing prunes, so every live row is evaluated
+  // exactly once and no deleted row is counted.
+  NearestNeighborResult all =
+      index.FindKNearest(target, family, index.live_size());
+  EXPECT_EQ(all.neighbors.size(), index.live_size());
+  EXPECT_EQ(all.stats.transactions_evaluated, index.live_size());
+}
+
+TEST(DynamicIndexTest, DeleteDuringAnInFlightRewriteStaysInvisible) {
+  ThreadPool pool(1);
+  MetricsRegistry registry;
+  DynamicIndexOptions options = SmallOptions();
+  options.pool = &pool;
+  options.metrics = &registry;
+  QuestGenerator generator(GeneratorConfig(31));
+  DynamicIndex index(200, options);
+  std::vector<Transaction> by_gid;
+  FillRecorded(&index, &generator, 16, &by_gid);  // One 16-row run.
+  index.WaitForMaintenance();
+  ASSERT_EQ(index.num_components(), 1u);
+
+  // Wedge the pool so the rewrite is claimed but cannot run.
+  Mutex mu;
+  CondVar cv;
+  bool release = false;
+  pool.Submit([&] {
+    MutexLock lock(&mu);
+    while (!release) cv.Wait(&mu);
+  });
+  std::set<TransactionId> deleted;
+  for (TransactionId gid = 0; gid < 5; ++gid) {  // 5/16 > 1/4: rewrite.
+    ASSERT_TRUE(index.Delete(gid).ok());
+    deleted.insert(gid);
+  }
+  // These land while the rewrite is in flight.
+  for (TransactionId gid : {TransactionId{9}, TransactionId{12}}) {
+    ASSERT_TRUE(index.Delete(gid).ok());
+    deleted.insert(gid);
+  }
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 0u);
+  {
+    MutexLock lock(&mu);
+    release = true;
+    cv.NotifyAll();
+  }
+  index.WaitForMaintenance();
+  EXPECT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 1u);
+
+  // The rewrite purged the five claimed rows; the two late deletes carried
+  // over into the new component's bitmap.
+  EXPECT_EQ(index.tombstone_count(), 2u);
+  EXPECT_EQ(index.live_size(), 9u);
+  EXPECT_TRUE(index.CheckInvariants().ok());
+  EXPECT_EQ(index.Delete(9).code(), StatusCode::kNotFound);
+  MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  NearestNeighborResult result = index.FindKNearest(target, family, 9);
+  ASSERT_EQ(result.neighbors.size(), 9u);
+  for (const Neighbor& neighbor : result.neighbors) {
+    EXPECT_EQ(deleted.count(neighbor.id), 0u) << "gid " << neighbor.id;
+  }
+  EXPECT_EQ(Values(result), LiveOracle(by_gid, deleted, target, family, 9));
+}
+
+TEST(DynamicIndexTest, DeletesAreInvisibleOnEveryScanPath) {
+  // Ported from the merger-level filter test: the merger no longer filters,
+  // so each scan path — buffer, healthy component (branch and bound), and
+  // quarantined component (sequential scanner) — must drop deleted rows.
+  QuestGenerator generator(GeneratorConfig(57));
+  DynamicIndexOptions options = SmallOptions();
+  options.level_fanout = 4;  // Keep the two spills as separate components.
+  DynamicIndex index(200, options);
+  std::vector<Transaction> by_gid;
+  FillRecorded(&index, &generator, 20, &by_gid);  // L0: 8 + 8, buffer: 4.
+  const std::string prefix = ::testing::TempDir() + "dyn_every_path";
+  ASSERT_TRUE(DynIo::Save(index, prefix).ok());
+  {
+    auto file_or = Env::Default()->NewWritableFile(DynIo::TablePath(prefix, 0));
+    ASSERT_TRUE(file_or.ok());
+    const char garbage[] = "not a signature table";
+    ASSERT_TRUE(file_or.value()->Append(garbage, sizeof(garbage)).ok());
+    ASSERT_TRUE(file_or.value()->Close().ok());
+  }
+  auto loaded_or = DynIo::Load(prefix, options);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  std::unique_ptr<DynamicIndex> loaded = std::move(loaded_or).value();
+  ASSERT_EQ(loaded->num_components(), 2u);
+
+  // gid 2: quarantined component 0; gid 11: healthy component 1; gid 17:
+  // the buffer. One row of eight stays under the rewrite bound.
+  const std::set<TransactionId> deleted = {2, 11, 17};
+  for (TransactionId gid : deleted) ASSERT_TRUE(loaded->Delete(gid).ok());
+  ASSERT_EQ(loaded->tombstone_count(), 3u);
+
+  MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  NearestNeighborResult all = loaded->FindKNearest(target, family, 17);
+  EXPECT_GE(all.stats.sequential_fallbacks, 1u);
+  EXPECT_TRUE(all.guaranteed_exact);
+  ASSERT_EQ(all.neighbors.size(), 17u);
+  EXPECT_EQ(all.stats.transactions_evaluated, 17u);
+  for (const Neighbor& neighbor : all.neighbors) {
+    EXPECT_EQ(deleted.count(neighbor.id), 0u) << "gid " << neighbor.id;
+  }
+  EXPECT_EQ(Values(all), LiveOracle(by_gid, deleted, target, family, 17));
+
+  // The deletes survive a save/load round trip through the gid list.
+  const std::string again = ::testing::TempDir() + "dyn_every_path_again";
+  ASSERT_TRUE(DynIo::Save(*loaded, again).ok());
+  auto reloaded_or = DynIo::Load(again, options);
+  ASSERT_TRUE(reloaded_or.ok()) << reloaded_or.status().ToString();
+  EXPECT_EQ(reloaded_or.value()->tombstone_count(), 3u);
+  EXPECT_EQ(reloaded_or.value()->live_size(), 17u);
+  EXPECT_EQ(Values(reloaded_or.value()->FindKNearest(target, family, 17)),
+            Values(all));
 }
 
 TEST(DynIoTest, SaveLoadRoundTripsStateAndAnswers) {
@@ -357,27 +627,9 @@ TEST(DynIoTest, CorruptRowsFailTheLoad) {
   EXPECT_FALSE(DynIo::Load(prefix, SmallOptions()).ok());
 }
 
-TEST(KnnMergerTest, DropsTombstonedRowsFromEveryPath) {
-  std::vector<TransactionId> tombstones = {5, 9};
-  KnnMerger merger;
-  merger.Reset(3, &tombstones);
-  NearestNeighborResult component;
-  component.neighbors = {{5, 0.9}, {1, 0.8}, {2, 0.7}};
-  component.stats.is_exact = true;
-  merger.AddComponent(component);
-  merger.AddCandidate(9, 1.0);  // Tombstoned buffer row.
-  merger.AddCandidate(4, 0.85);
-  NearestNeighborResult merged;
-  merger.Finish(&merged);
-  ASSERT_EQ(merged.neighbors.size(), 3u);
-  EXPECT_EQ(merged.neighbors[0].id, 4u);
-  EXPECT_EQ(merged.neighbors[1].id, 1u);
-  EXPECT_EQ(merged.neighbors[2].id, 2u);
-}
-
 TEST(KnnMergerTest, CertificateAndExactnessFollowTheMergeRules) {
   KnnMerger merger;
-  merger.Reset(2, nullptr);
+  merger.Reset(2);
   NearestNeighborResult exact;
   exact.neighbors = {{1, 0.9}};
   exact.stats.is_exact = true;

@@ -11,7 +11,8 @@
 // The sweep covers all three paper similarity families, both entry sort
 // orders, early termination, optimality gaps, trace collection, and the
 // multi-target aggregate — precisely the behaviours whose semantics the
-// overhaul promised to preserve.
+// overhaul promised to preserve. A deleted-row filter (SearchOptions::
+// deleted_rows) must match a scan of the database with those rows removed.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,8 @@
 #include "core/index_builder.h"
 #include "core/query_context.h"
 #include "gen/quest_generator.h"
+#include "txn/candidate_layout.h"
+#include "txn/deleted_rows.h"
 
 namespace mbi {
 namespace {
@@ -187,6 +190,77 @@ TEST_P(OracleEquivalenceTest, ExactSearchMatchesSequentialScan) {
   }
 }
 
+TEST_P(OracleEquivalenceTest, FilteredSearchMatchesScanWithoutDeletedRows) {
+  auto [family_name, sort_order, k] = GetParam();
+  Fixture fixture = MakeFixture(4711, 8);
+  const CandidateLayout layout = CandidateLayout::Build(fixture.db);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table, &layout);
+  auto family = MakeSimilarityFamily(family_name);
+
+  // Delete every fifth row plus each query's unfiltered top-k, so the
+  // filter removes the rows the search would otherwise return first.
+  DeletedRows deleted(fixture.db.size());
+  for (TransactionId id = 0; id < fixture.db.size(); id += 5) {
+    deleted.Insert(id);
+  }
+  for (const Transaction& target : fixture.queries) {
+    for (const Neighbor& neighbor :
+         engine.FindKNearest(target, *family, k).neighbors) {
+      deleted.Insert(neighbor.id);
+    }
+  }
+  TransactionDatabase survivors(fixture.db.universe_size());
+  std::vector<TransactionId> original_id;
+  for (TransactionId id = 0; id < fixture.db.size(); ++id) {
+    if (deleted.contains(id)) continue;
+    survivors.Add(fixture.db.Get(id));
+    original_id.push_back(id);
+  }
+  const SequentialScanner oracle(&survivors);
+  const SequentialScanner filtered_scan(&fixture.db, &layout);
+  const SequentialScanner filtered_probe(&fixture.db);
+
+  SearchOptions options;
+  options.sort_order = sort_order;
+  options.deleted_rows = &deleted;
+  QueryContext context;
+  for (const Transaction& target : fixture.queries) {
+    const std::vector<Neighbor> expected =
+        oracle.FindKNearest(target, *family, k);
+    NearestNeighborResult result =
+        engine.FindKNearest(target, *family, k, options, &context);
+    NearestNeighborResult scanned;
+    filtered_scan.FindKNearest(target, *family, k, QueryBudget{}, &scanned,
+                               &deleted);
+    NearestNeighborResult probed;
+    filtered_probe.FindKNearest(target, *family, k, QueryBudget{}, &probed,
+                                &deleted);
+    EXPECT_TRUE(result.guaranteed_exact) << family_name;
+    EXPECT_EQ(result.stats.database_size, survivors.size());
+    EXPECT_LE(result.stats.transactions_evaluated, survivors.size());
+    EXPECT_EQ(scanned.stats.transactions_evaluated, survivors.size());
+    EXPECT_EQ(probed.stats.transactions_evaluated, survivors.size());
+    for (const NearestNeighborResult* got : {&result, &scanned, &probed}) {
+      ASSERT_EQ(got->neighbors.size(), expected.size()) << family_name;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_FALSE(deleted.contains(got->neighbors[i].id)) << family_name;
+        bool both_inf = std::isinf(got->neighbors[i].similarity) &&
+                        std::isinf(expected[i].similarity);
+        if (!both_inf) {
+          EXPECT_EQ(got->neighbors[i].similarity, expected[i].similarity)
+              << family_name << " position " << i;
+        }
+      }
+    }
+    // The scans resolve ties globally by ascending id, as the oracle does
+    // over the order-preserving survivor numbering.
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(scanned.neighbors[i].id, original_id[expected[i].id]);
+      EXPECT_EQ(probed.neighbors[i].id, original_id[expected[i].id]);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, OracleEquivalenceTest,
     ::testing::Combine(
@@ -241,6 +315,38 @@ TEST(OracleEquivalenceEdgeTest, KLargerThanDatabase) {
     NearestNeighborResult result =
         engine.FindKNearest(target, *family, 100, {}, &context);
     ExpectSameResult(result, reference, "k > db");
+  }
+}
+
+TEST(OracleEquivalenceEdgeTest, FilteredKLargerThanLiveRows) {
+  Fixture fixture = MakeFixture(17, 7, 1, /*db_size=*/40, /*num_queries=*/4);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  auto family = MakeSimilarityFamily("cosine");
+  DeletedRows deleted(fixture.db.size());
+  TransactionDatabase survivors(fixture.db.universe_size());
+  for (TransactionId id = 0; id < fixture.db.size(); ++id) {
+    if (id % 2 == 0) {
+      deleted.Insert(id);
+    } else {
+      survivors.Add(fixture.db.Get(id));
+    }
+  }
+  const SequentialScanner oracle(&survivors);
+  SearchOptions options;
+  options.deleted_rows = &deleted;
+  QueryContext context;
+  for (const Transaction& target : fixture.queries) {
+    // k exceeds the live rows but not the physical ones: exactness is
+    // judged against the live count.
+    NearestNeighborResult result =
+        engine.FindKNearest(target, *family, 30, options, &context);
+    EXPECT_TRUE(result.guaranteed_exact);
+    const std::vector<Neighbor> expected =
+        oracle.FindKNearest(target, *family, 30);
+    ASSERT_EQ(result.neighbors.size(), survivors.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(result.neighbors[i].similarity, expected[i].similarity);
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include "core/query_context.h"
 #include "engine/engine.h"
 #include "gen/quest_generator.h"
+#include "txn/deleted_rows.h"
 #include "util/alloc_guard.h"
 #include "util/deadline_clock.h"
 
@@ -372,6 +373,30 @@ TEST(QueryBudgetTest, QuarantineFallbackPropagatesTerminationStats) {
   EXPECT_EQ(range.stats.sequential_fallbacks, 1u);
   EXPECT_EQ(range.stats.termination, QueryTermination::kDeadline);
   EXPECT_FALSE(range.stats.is_exact);
+}
+
+TEST(QueryBudgetTest, QuarantineFallbackHonorsDeletedRows) {
+  // The fallback must drop the same rows the branch-and-bound path would.
+  TransactionDatabase db = MakeDatabase(600);
+  SignatureTableEngine engine(&db);
+  ASSERT_FALSE(engine.healthy());
+  MatchRatioFamily family;
+  const Transaction target = QueryTarget();
+  const std::vector<Neighbor> unfiltered =
+      SequentialScanner(&db).FindKNearest(target, family, 5);
+  DeletedRows deleted(db.size());
+  for (const Neighbor& neighbor : unfiltered) deleted.Insert(neighbor.id);
+
+  SearchOptions options;
+  options.deleted_rows = &deleted;
+  NearestNeighborResult result = engine.FindKNearest(target, family, 5,
+                                                     options);
+  EXPECT_EQ(result.stats.sequential_fallbacks, 1u);
+  EXPECT_EQ(result.stats.database_size, db.size() - 5);
+  ASSERT_EQ(result.neighbors.size(), 5u);
+  for (const Neighbor& neighbor : result.neighbors) {
+    EXPECT_FALSE(deleted.contains(neighbor.id));
+  }
 }
 
 TEST(QueryBudgetTest, BudgetedSteadyStateAllocatesNothing) {

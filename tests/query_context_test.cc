@@ -20,6 +20,7 @@
 #include "core/index_builder.h"
 #include "core/query_context.h"
 #include "gen/quest_generator.h"
+#include "txn/deleted_rows.h"
 #include "util/alloc_guard.h"
 #include "util/thread_pool.h"
 
@@ -290,6 +291,48 @@ TEST(QueryContextTest, SteadyStateQueriesDoNotAllocate) {
   NearestNeighborResult fresh =
       engine.FindKNearest(fixture.queries[0], *hamming, 5, options);
   ExpectSameResult(result, fresh, "after banned passes");
+}
+
+/// The deleted-row filter keeps the contract: dropping flagged ids compacts
+/// the candidate list in place, so a warm filtered query allocates nothing.
+TEST(QueryContextTest, SteadyStateFilteredQueriesDoNotAllocate) {
+  Fixture fixture = MakeFixture(808, 9, 1000, 8);
+  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
+  auto family = MakeSimilarityFamily("match_ratio");
+  DeletedRows deleted(fixture.db.size());
+  for (TransactionId id = 0; id < fixture.db.size(); id += 3) {
+    deleted.Insert(id);
+  }
+  SearchOptions options;
+  options.deleted_rows = &deleted;
+
+  QueryContext context;
+  NearestNeighborResult result;
+  auto run_pass = [&] {
+    for (const Transaction& target : fixture.queries) {
+      engine.FindKNearest(target, *family, 6, options, &context, &result);
+    }
+  };
+  run_pass();
+  run_pass();
+
+  const uint64_t before = AllocGuardViolations();
+  {
+    ScopedAllocationBan ban("steady-state filtered FindKNearest");
+    run_pass();
+  }
+  EXPECT_EQ(AllocGuardViolations(), before)
+      << "warm filtered FindKNearest allocated; AllocGuardEnabled()="
+      << AllocGuardEnabled();
+
+  engine.FindKNearest(fixture.queries[0], *family, 6, options, &context,
+                      &result);
+  for (const Neighbor& neighbor : result.neighbors) {
+    EXPECT_FALSE(deleted.contains(neighbor.id));
+  }
+  ExpectSameResult(result,
+                   engine.FindKNearest(fixture.queries[0], *family, 6, options),
+                   "filtered, after banned passes");
 }
 
 /// Same contract for the batch entry point: a warm (workspace, results) pair
