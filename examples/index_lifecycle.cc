@@ -1,9 +1,13 @@
 // Index lifecycle: everything a deployment does around the paper's
-// algorithm — build an index, persist it, reopen it without re-mining,
-// append new transactions incrementally, and answer a parallel batch of
-// queries against the updated index.
+// algorithm — build an index, persist it, reopen it without re-mining, and
+// answer a parallel batch of queries against the reopened index.
 //
-//   ./index_lifecycle [--transactions=30000] [--inserts=5000] [--seed=23]
+// A built or reopened signature table is immutable. Deployments whose
+// database keeps growing use the dynamized index instead (DynamicIndex in
+// src/dyn, `mbi insert` on the command line), which absorbs inserts and
+// deletes by rebuilding immutable tables in the background.
+//
+//   ./index_lifecycle [--transactions=30000] [--seed=23]
 
 #include <cstdio>
 #include <string>
@@ -18,13 +22,10 @@
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
-  mbi::FlagParser flags("Index persistence, incremental growth, batches.");
-  int64_t transactions, inserts, seed;
+  mbi::FlagParser flags("Index persistence, reopening, batches.");
+  int64_t transactions, seed;
   std::string dir;
-  flags.AddInt64("transactions", 30'000, "initial database size",
-                 &transactions);
-  flags.AddInt64("inserts", 5'000, "transactions appended after reopening",
-                 &inserts);
+  flags.AddInt64("transactions", 30'000, "database size", &transactions);
   flags.AddInt64("seed", 23, "generator seed", &seed);
   flags.AddString("dir", "/tmp", "directory for the data and index files",
                   &dir);
@@ -72,17 +73,6 @@ int main(int argc, char** argv) {
   }
   std::printf("reopened in %.2fs (no support mining, no clustering)\n",
               timer.ElapsedSeconds());
-
-  // New sales arrive: append incrementally — the partition is reused, each
-  // basket lands in its supercoordinate's bucket.
-  timer.Reset();
-  for (int64_t i = 0; i < inserts; ++i) {
-    mbi::Transaction fresh = generator.NextTransaction();
-    table->InsertTransaction(reopened_db->Add(fresh), fresh);
-  }
-  std::printf("appended %lld transactions in %.2fs (%llu entries occupied)\n",
-              static_cast<long long>(inserts), timer.ElapsedSeconds(),
-              static_cast<unsigned long long>(table->entries().size()));
 
   // Evening batch job: score a batch of query baskets in parallel.
   mbi::BranchAndBoundEngine engine(&*reopened_db, &*table);

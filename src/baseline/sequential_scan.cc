@@ -53,6 +53,8 @@ SequentialScanner::SequentialScanner(const TransactionDatabase* database,
                                      const CandidateLayout* layout)
     : database_(database), layout_(layout) {
   MBI_CHECK(database != nullptr);
+  MBI_CHECK_MSG(layout == nullptr || layout->num_rows() == database->size(),
+                "the candidate layout must cover exactly the database rows");
 }
 
 void SequentialScanner::set_metrics(MetricsRegistry* registry) {
@@ -176,7 +178,7 @@ std::vector<Neighbor> SequentialScanner::FindKNearest(
   std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
 
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), EffectiveLayout());
+  packed.Assign(target, database_->universe_size(), layout_);
   std::vector<Neighbor> scored;
   scored.reserve(database_->size());
   ScoreAllCandidates(packed, *similarity, stats, page_size_bytes,
@@ -228,7 +230,7 @@ void SequentialScanner::FindKNearest(const Transaction& target,
   std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
 
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), EffectiveLayout());
+  packed.Assign(target, database_->universe_size(), layout_);
   result->neighbors.clear();
   result->trace.clear();
   result->stats = QueryStats{};
@@ -261,7 +263,7 @@ void SequentialScanner::FindInRange(const Transaction& target,
   ScopedTimer timer(nullptr);
   std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), EffectiveLayout());
+  packed.Assign(target, database_->universe_size(), layout_);
   result->matches.clear();
   result->stats = QueryStats{};
   std::vector<Neighbor> scored;
@@ -316,7 +318,7 @@ std::vector<Neighbor> SequentialScanner::FindInRange(
   ScopedTimer timer(nullptr);
   std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(), EffectiveLayout());
+  packed.Assign(target, database_->universe_size(), layout_);
   SequentialIoCharger charger(stats, page_size_bytes);
   std::vector<Neighbor> matches;
   if (packed.has_layout()) {

@@ -25,12 +25,13 @@ namespace mbi {
 /// quarantine fallback reports real I/O for range queries too.
 class SequentialScanner {
  public:
-  /// With a non-null `layout` (a blocked candidate bitmap covering
-  /// `database`, see txn/candidate_layout.h), single-target scans stream
-  /// the dense rows through the runtime-dispatched SIMD match kernel in
-  /// fixed-size chunks; the default keeps the legacy per-candidate probe,
-  /// preserving this class's role as an independent oracle. Results are
-  /// bit-identical either way.
+  /// With a non-null `layout` (a blocked candidate bitmap covering exactly
+  /// the rows of `database`, see txn/candidate_layout.h; aborts otherwise),
+  /// single-target scans stream the dense rows through the
+  /// runtime-dispatched SIMD match kernel in fixed-size chunks; the default
+  /// keeps the per-candidate probe, preserving this class's role as an
+  /// independent oracle. Results are bit-identical either way. The database
+  /// must not grow while a layout is bound.
   explicit SequentialScanner(const TransactionDatabase* database,
                              const CandidateLayout* layout = nullptr);
 
@@ -121,14 +122,6 @@ class SequentialScanner {
                                          const QueryBudget& budget,
                                          const DeletedRows* deleted,
                                          std::vector<Neighbor>* scored) const;
-
-  /// The layout in effect for this query, or null when the (optional)
-  /// layout does not cover every current database row.
-  const CandidateLayout* EffectiveLayout() const {
-    return layout_ != nullptr && layout_->num_rows() >= database_->size()
-               ? layout_
-               : nullptr;
-  }
 
   const TransactionDatabase* database_;
   const CandidateLayout* layout_;

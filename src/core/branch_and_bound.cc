@@ -57,6 +57,9 @@ BranchAndBoundEngine::BranchAndBoundEngine(const TransactionDatabase* database,
         std::make_shared<const CandidateLayout>(CandidateLayout::Build(*database));
     layout_ = owned_layout_.get();
   }
+  MBI_CHECK_MSG(table->num_indexed_transactions() == database->size() &&
+                    layout_->num_rows() == database->size(),
+                "table, layout and database must cover the same rows");
 }
 
 NearestNeighborResult BranchAndBoundEngine::FindNearest(
@@ -152,18 +155,13 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   if (ctx.packed_targets_.size() < num_targets) {
     ctx.packed_targets_.resize(num_targets);
   }
-  // The blocked layout only serves ids it covers; transactions appended
-  // after its build take the legacy probe path (checked once per query so
-  // a dynamic insert mid-stream can never read past the layout).
-  const bool use_layout =
-      layout_ != nullptr && layout_->num_rows() >= database_->size();
   for (size_t t = 0; t < num_targets; ++t) {
     family.RebindTarget(targets[t], &ctx.functions_[t]);
     table_->partition().CountsPerSignature(targets[t], &ctx.counts_scratch_);
     ctx.calculators_[t].Reset(ctx.counts_scratch_,
                               table_->activation_threshold());
     ctx.packed_targets_[t].Assign(targets[t], database_->universe_size(),
-                                  use_layout ? layout_ : nullptr);
+                                  layout_);
   }
   const double target_count = static_cast<double>(num_targets);
 
@@ -294,25 +292,12 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       std::push_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
     }
   };
-  auto evaluate_candidate = [&](TransactionId id) {
-    const Transaction& candidate = database_->Get(id);
-    double sum = 0.0;
-    for (size_t t = 0; t < num_targets; ++t) {
-      size_t match = 0, hamming = 0;
-      // Packed probe kernel; bit-identical to the merge-scan MatchAndHamming.
-      ctx.packed_targets_[t].MatchAndHamming(candidate, &match, &hamming);
-      sum += ctx.functions_[t]->Evaluate(static_cast<int>(match),
-                                         static_cast<int>(hamming));
-    }
-    // Divide (not multiply by a reciprocal) so the value is bit-identical to
-    // an oracle computing sum / n — ties then compare exactly.
-    finish_candidate(id, sum / target_count);
-  };
   // Batched evaluation of one entry's candidate list through the SIMD
-  // match kernel. Same integer x/y per candidate, same ascending-t
-  // accumulation, same division, same heap-update order as
-  // evaluate_candidate — bit-identical results, proven at the engine level
-  // by kernel_test.cc's forced-ISA sweep against FindKNearestReference.
+  // match kernel, the engine's only scoring path. Integer x/y per candidate
+  // accumulated over targets in ascending t, then divided (not multiplied
+  // by a reciprocal) so the value is bit-identical to an oracle computing
+  // sum / n and ties compare exactly — proven at the engine level by
+  // kernel_test.cc's forced-ISA sweep against FindKNearestReference.
   auto evaluate_candidates_batch = [&](const TransactionId* ids, size_t n) {
     if (ctx.match_scratch_.size() < n) {
       ctx.match_scratch_.resize(n);
@@ -404,13 +389,7 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     if (deleted != nullptr) {
       candidates = deleted->RemoveFlagged(ctx.candidate_ids_.data(), candidates);
     }
-    if (use_layout) {
-      evaluate_candidates_batch(ctx.candidate_ids_.data(), candidates);
-    } else {
-      for (size_t i = 0; i < candidates; ++i) {
-        evaluate_candidate(ctx.candidate_ids_[i]);
-      }
-    }
+    evaluate_candidates_batch(ctx.candidate_ids_.data(), candidates);
     if (result.stats.transactions_evaluated >= budget && remaining > 0) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
@@ -676,11 +655,8 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   }
   BoundCalculator calculator(table_->partition().CountsPerSignature(target),
                              table_->activation_threshold());
-  const bool use_layout =
-      layout_ != nullptr && layout_->num_rows() >= database_->size();
   PackedTarget packed;
-  packed.Assign(target, database_->universe_size(),
-                use_layout ? layout_ : nullptr);
+  packed.Assign(target, database_->universe_size(), layout_);
 
   RangeQueryResult result;
   result.stats.database_size = database_->size();
@@ -742,34 +718,25 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
     }
     table_->FetchEntryTransactions(i, &result.stats.io, &ids);
     ++result.stats.entries_scanned;
-    if (use_layout) {
-      match_scratch.resize(ids.size());
-      hamming_scratch.resize(ids.size());
-      packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
-                                  hamming_scratch.data());
-    }
+    match_scratch.resize(ids.size());
+    hamming_scratch.resize(ids.size());
+    packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
+                                hamming_scratch.data());
     for (size_t c = 0; c < ids.size(); ++c) {
-      const TransactionId id = ids[c];
-      size_t match = 0, hamming = 0;
-      if (use_layout) {
-        match = match_scratch[c];
-        hamming = hamming_scratch[c];
-      } else {
-        packed.MatchAndHamming(database_->Get(id), &match, &hamming);
-      }
       ++result.stats.transactions_evaluated;
       bool qualifies = true;
       double primary_similarity = 0.0;
       for (size_t f = 0; f < functions.size(); ++f) {
-        double value = functions[f]->Evaluate(static_cast<int>(match),
-                                              static_cast<int>(hamming));
+        double value =
+            functions[f]->Evaluate(static_cast<int>(match_scratch[c]),
+                                   static_cast<int>(hamming_scratch[c]));
         if (f == 0) primary_similarity = value;
         if (value < thresholds[f]) {
           qualifies = false;
           break;
         }
       }
-      if (qualifies) result.matches.push_back({id, primary_similarity});
+      if (qualifies) result.matches.push_back({ids[c], primary_similarity});
     }
     if (result.stats.transactions_evaluated >= budget &&
         i + 1 < entries.size()) {

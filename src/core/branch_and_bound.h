@@ -160,8 +160,9 @@ struct RangeQueryResult {
 /// through a lazy max-heap keyed by the sort order, so only the prefix of
 /// the visit order a query actually consumes is materialized; per-query
 /// scratch lives in a caller-suppliable QueryContext so repeated queries
-/// allocate nothing on the steady state; and candidate evaluation probes a
-/// word-packed target bitmap instead of merge-scanning item vectors. All of
+/// allocate nothing on the steady state; and each scanned entry's candidates
+/// are scored in one batch by the SIMD match kernel over the blocked
+/// candidate layout instead of merge-scanning item vectors. All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
 /// implementation, which is retained as FindKNearest*Reference and pinned by
 /// oracle_equivalence_test.cc.
@@ -170,9 +171,9 @@ class BranchAndBoundEngine {
   /// `layout` is the blocked candidate bitmap the SIMD match kernel scans;
   /// null builds a private one from `database`. Pass a shared layout
   /// (SignatureTableEngine does) when several engines serve one database.
-  /// The layout is a snapshot: queries issued after the database grows past
-  /// `layout->num_rows()` automatically fall back to the per-candidate
-  /// probe path (bit-identical, just slower) until a fresh layout is bound.
+  /// The table, the layout and the database must cover the same rows
+  /// (aborts otherwise), and the database must not grow while the engine
+  /// is bound: every candidate is scored through the layout.
   BranchAndBoundEngine(const TransactionDatabase* database,
                        const SignatureTable* table,
                        const CandidateLayout* layout = nullptr);

@@ -8,11 +8,10 @@
 namespace mbi {
 
 SignatureTableEngine::SignatureTableEngine(const TransactionDatabase* database)
-    : database_(database), scanner_(database, &layout_) {
-  // After the scanner's null check: the layout address handed to the
-  // scanner stays valid across this assignment.
-  layout_ = CandidateLayout::Build(*database_);
-}
+    : database_(database),
+      layout_(database != nullptr ? CandidateLayout::Build(*database)
+                                  : CandidateLayout()),
+      scanner_(database, &layout_) {}
 
 Status SignatureTableEngine::OpenIndex(const std::string& path, Env* env) {
   StatusOr<SignatureTable> loaded = LoadSignatureTable(path, *database_, env);
@@ -37,11 +36,6 @@ void SignatureTableEngine::AdoptTable(SignatureTable table) {
   engine_.reset();  // Points into the old table; drop it first.
   table_.emplace(std::move(table));
   table_->set_metrics(metrics_registry_);
-  // Refresh the shared candidate layout when the database outgrew it, so a
-  // rebuilt index queries at full kernel speed again.
-  if (layout_.num_rows() < database_->size()) {
-    layout_ = CandidateLayout::Build(*database_);
-  }
   engine_.emplace(database_, &*table_, &layout_);
   {
     MutexLock lock(&state_mu_);

@@ -183,11 +183,10 @@ class SignatureTableEngine {
 
   const TransactionDatabase* const database_;
   /// Blocked candidate bitmap shared by the branch-and-bound engine and the
-  /// sequential fallback (one build per database snapshot instead of one
-  /// per component). Rebuilt by AdoptTable when the database has grown;
-  /// queries issued against rows beyond its coverage fall back to the
-  /// per-candidate probe path inside each component.
-  CandidateLayout layout_;
+  /// sequential fallback, built once at construction. The database must not
+  /// grow afterwards: binding a table (OpenIndex / AdoptTable) aborts unless
+  /// table, layout and database cover the same rows.
+  const CandidateLayout layout_;
   SequentialScanner scanner_;
   /// table_/engine_ are written only by OpenIndex/AdoptTable, which the
   /// caller must not run concurrently with queries (the engine swaps the

@@ -61,9 +61,9 @@ class ItemBandMap {
 };
 
 /// The per-transaction blocked bitmap + sparse-tail store the match kernel
-/// scans. Immutable after Build(); rebuilt wholesale when the database
-/// grows past its row count (call sites fall back to the legacy probe path
-/// for rows the layout does not cover yet).
+/// scans. Immutable after Build(): one is built per database (or per
+/// dynamized-index component), and the engines bound to it check once that
+/// it covers every row.
 class BlockedLayout {
  public:
   class Builder {

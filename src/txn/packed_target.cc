@@ -29,8 +29,8 @@ MBI_HOT void PackedTarget::Assign(const Transaction& target,
   const kernel::BlockedLayout& blocked = layout_->blocked();
   const size_t words = blocked.words_per_row();
   if (target_row_.size() != words) {
-    target_row_.Reset(words);  // Grow-only in steady state: layouts are
-                               // rebuilt rarely, per database snapshot.
+    target_row_.Reset(words);  // Grow-only in steady state: a layout is
+                               // built once per database or component.
   } else {
     std::fill_n(target_row_.data(), words, uint64_t{0});
   }

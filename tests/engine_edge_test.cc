@@ -6,6 +6,7 @@
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "gen/quest_generator.h"
+#include "txn/candidate_layout.h"
 
 namespace mbi {
 namespace {
@@ -201,6 +202,23 @@ TEST(EngineEdgeTest, MultiTargetWithIdenticalTargets) {
     EXPECT_DOUBLE_EQ(single.neighbors[i].similarity,
                      multi.neighbors[i].similarity);
   }
+}
+
+TEST(EngineEdgeTest, DatabaseGrownPastTableAndLayoutAbortsAtBinding) {
+  // A built table and layout are immutable snapshots of the database; rows
+  // appended afterwards belong to the dynamized index (src/dyn). Binding an
+  // engine to the grown database must abort instead of serving a table
+  // that misses rows.
+  QuestGeneratorConfig config;
+  config.universe_size = 200;
+  config.num_large_itemsets = 40;
+  config.seed = 1237;
+  QuestGenerator generator(config);
+  TransactionDatabase db = generator.GenerateDatabase(300);
+  SignatureTable table = BuildOver(db, 8);
+  CandidateLayout layout = CandidateLayout::Build(db);
+  db.Add(generator.NextTransaction());
+  EXPECT_DEATH(BranchAndBoundEngine(&db, &table, &layout), "same rows");
 }
 
 }  // namespace
