@@ -114,26 +114,13 @@ InvertedIndex::Result InvertedIndex::FindKNearest(
   // max_entries (same unit as branch-and-bound and the sequential scanner;
   // overshoot bounded at kScanChunk - 1 by the per-slice check).
   const size_t num_candidates = candidates.size();
-  const bool budget_limited = budget.limited();
   QueryTermination termination = QueryTermination::kCompleted;
   uint64_t rows_scanned = 0;
   uint32_t chunk_match[kScanChunk];
   uint32_t chunk_hamming[kScanChunk];
   for (size_t base = 0; base < num_candidates; base += kScanChunk) {
-    if (budget_limited && rows_scanned > 0) {
-      if (budget.cancelled()) {
-        termination = QueryTermination::kCancelled;
-        break;
-      }
-      if (rows_scanned >= budget.max_entries) {
-        termination = QueryTermination::kEntryBudget;
-        break;
-      }
-      if (budget.deadline_expired()) {
-        termination = QueryTermination::kDeadline;
-        break;
-      }
-    }
+    termination = budget.Poll(rows_scanned);
+    if (termination != QueryTermination::kCompleted) break;
     const size_t len = std::min(kScanChunk, num_candidates - base);
     packed.MatchAndHammingBatch(candidates.data() + base, len, chunk_match,
                                 chunk_hamming);

@@ -90,7 +90,6 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
   const size_t n = database_->size();
   ScanOutcome outcome;
   outcome.rows_total = n;
-  const bool budget_limited = budget.limited();
   // SIMD match-kernel output for one chunk (layout path). The buffers live
   // on the stack (const method, no mutable scratch), so the zero-allocation
   // contract holds without state.
@@ -105,20 +104,8 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
     // Rows — not chunks — are charged against max_entries so the scan path
     // enforces the budget in the same unit as branch-and-bound; checking at
     // chunk boundaries bounds the overshoot at kScanChunk - 1 rows.
-    if (budget_limited && outcome.rows_scanned > 0) {
-      if (budget.cancelled()) {
-        outcome.termination = QueryTermination::kCancelled;
-        break;
-      }
-      if (outcome.rows_scanned >= budget.max_entries) {
-        outcome.termination = QueryTermination::kEntryBudget;
-        break;
-      }
-      if (budget.deadline_expired()) {
-        outcome.termination = QueryTermination::kDeadline;
-        break;
-      }
-    }
+    outcome.termination = budget.Poll(outcome.rows_scanned);
+    if (outcome.termination != QueryTermination::kCompleted) break;
     const size_t len = std::min(kScanChunk, n - base);
     if (deleted != nullptr) {
       // Every row of the chunk is read (and charged); deleted ones drop out

@@ -267,11 +267,9 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     budget = std::numeric_limits<uint64_t>::max();
   }
   // Overload budget (tightest-wins between the per-call options and the
-  // context's session default). `limited` is hoisted so the unlimited case
-  // pays one branch per entry and zero clock reads.
+  // context's session default); an unlimited budget costs no clock reads.
   const QueryBudget qbudget =
       QueryBudget::Tightest(options.budget, ctx.budget_);
-  const bool budget_limited = qbudget.limited();
 
   // Min-heap of the k best candidates; front is the pessimistic bound once
   // the heap is full.
@@ -340,22 +338,10 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     // top-ranked entry, never an empty neighbor list); the first pop can
     // never prune (the k-heap cannot be full before the first scan), so
     // entries_scanned > 0 always holds from the second iteration on.
-    if (budget_limited && result.stats.entries_scanned > 0) {
-      if (qbudget.cancelled()) {
-        terminated_early = true;
-        termination = QueryTermination::kCancelled;
-        break;
-      }
-      if (result.stats.entries_scanned >= qbudget.max_entries) {
-        terminated_early = true;
-        termination = QueryTermination::kEntryBudget;
-        break;
-      }
-      if (qbudget.deadline_expired()) {
-        terminated_early = true;
-        termination = QueryTermination::kDeadline;
-        break;
-      }
+    termination = qbudget.Poll(result.stats.entries_scanned);
+    if (termination != QueryTermination::kCompleted) {
+      terminated_early = true;
+      break;
     }
     uint32_t entry_index = pop_next();
     double optimistic = ctx.optimistic_[entry_index];
@@ -664,7 +650,6 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   const uint64_t budget =
       AccessBudget(options.max_access_fraction, database_->size());
   const QueryBudget& qbudget = options.budget;
-  const bool budget_limited = qbudget.limited();
 
   bool terminated_early = false;
   QueryTermination termination = QueryTermination::kCompleted;
@@ -680,21 +665,12 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   std::vector<uint32_t> match_scratch;
   std::vector<uint32_t> hamming_scratch;
   for (uint32_t i = 0; i < entries.size(); ++i) {
-    if (!terminated_early && budget_limited &&
-        result.stats.entries_scanned > 0) {
+    if (!terminated_early) {
       // Same min-one-entry guarantee as RunKNearest: the budget can only cut
       // the enumeration after the first scanned entry, so a degraded range
       // answer is never structurally empty.
-      if (qbudget.cancelled()) {
-        terminated_early = true;
-        termination = QueryTermination::kCancelled;
-      } else if (result.stats.entries_scanned >= qbudget.max_entries) {
-        terminated_early = true;
-        termination = QueryTermination::kEntryBudget;
-      } else if (qbudget.deadline_expired()) {
-        terminated_early = true;
-        termination = QueryTermination::kDeadline;
-      }
+      termination = qbudget.Poll(result.stats.entries_scanned);
+      terminated_early = termination != QueryTermination::kCompleted;
     }
     if (terminated_early) {
       ++result.stats.entries_unexplored;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "core/query_stats.h"
 #include "util/deadline_clock.h"
 
 namespace mbi {
@@ -59,6 +60,20 @@ struct QueryBudget {
   bool deadline_expired() const {
     return deadline_us != std::numeric_limits<double>::infinity() &&
            effective_clock()->NowUs() >= deadline_us;
+  }
+
+  /// The one budget check every engine loop makes (DESIGN.md §12.1), with
+  /// `scanned` the units charged so far in the path's scan unit. kCompleted
+  /// while unlimited or before the first unit (the min-one rule: a degraded
+  /// answer always carries real candidates); otherwise the first tripped
+  /// limit, cheapest test first — cancel, entry cap, deadline — so no clock
+  /// is read once the cap has tripped.
+  QueryTermination Poll(uint64_t scanned) const {
+    if (scanned == 0 || !limited()) return QueryTermination::kCompleted;
+    if (cancelled()) return QueryTermination::kCancelled;
+    if (scanned >= max_entries) return QueryTermination::kEntryBudget;
+    if (deadline_expired()) return QueryTermination::kDeadline;
+    return QueryTermination::kCompleted;
   }
 
   /// Budget with an absolute deadline `ms` milliseconds from `clock`'s now

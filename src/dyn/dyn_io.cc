@@ -70,9 +70,8 @@ Status DynIo::Save(const DynamicIndex& index, const std::string& prefix,
   for (size_t i = 0; i < snapshot.components.size(); ++i) {
     const DynComponent& component = *snapshot.components[i].component;
     MBI_RETURN_IF_ERROR(SaveDatabase(component.rows, RowsPath(prefix, i), env));
-    if (!component.quarantined) {
-      MBI_RETURN_IF_ERROR(
-          SaveSignatureTable(*component.table, TablePath(prefix, i), env));
+    if (const SignatureTable* table = component.engine.table()) {
+      MBI_RETURN_IF_ERROR(SaveSignatureTable(*table, TablePath(prefix, i), env));
     } else if (env->FileExists(TablePath(prefix, i))) {
       // A stale table from an older family must not be re-adopted for this
       // component's rows on load.
@@ -194,7 +193,8 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
   MBI_RETURN_IF_ERROR(reader.ExpectEnd());
 
   // Shards. Rows are the source of truth: any rows failure fails the load.
-  // A table failure quarantines that one component (exact scan, no pruning).
+  // A table that does not load leaves that one component on its engine's
+  // sequential fallback (exact scan, no pruning).
   for (size_t i = 0; i < manifests.size(); ++i) {
     MBI_ASSIGN_OR_RETURN(TransactionDatabase rows,
                          LoadDatabase(RowsPath(prefix, i), env));
@@ -205,16 +205,11 @@ StatusOr<std::unique_ptr<DynamicIndex>> DynIo::Load(
       return Status::Corruption(RowsPath(prefix, i) +
                                 ": rows disagree with the dyn manifest");
     }
-    std::optional<SignatureTable> table;
-    StatusOr<SignatureTable> loaded_table =
-        LoadSignatureTable(TablePath(prefix, i), rows, env);
-    if (loaded_table.ok()) table.emplace(std::move(loaded_table).value());
+    std::shared_ptr<const DynComponent> component =
+        DynComponent::Open(manifest.level, std::move(manifest.gids),
+                           std::move(rows), TablePath(prefix, i), env);
     MutexLock lock(&index->mu_);
-    index->state_.components.push_back(
-        {DynComponent::CreateFromLoaded(manifest.level,
-                                        std::move(manifest.gids),
-                                        std::move(rows), std::move(table)),
-         nullptr});
+    index->state_.components.push_back({std::move(component), nullptr});
   }
 
   std::optional<DynamicIndex::MergePlan> plan;

@@ -29,9 +29,10 @@ namespace mbi {
 ///
 /// Load policy — rows are the source of truth, tables are derived:
 ///   * manifest or any .rows file corrupt → the load FAILS (kCorruption);
-///   * a .table file corrupt/missing → that component alone is QUARANTINED
-///     (exact sequential scan, no pruning) and the next merge that consumes
-///     it rebuilds the table, clearing the quarantine.
+///   * a .table file corrupt/missing → that component alone serves through
+///     its SignatureTableEngine's sequential fallback (exact, no pruning;
+///     a corrupt shard also marks the engine quarantined) and the next merge
+///     that consumes it rebuilds the table.
 struct DynIo {
   /// Persists a consistent snapshot of `index` under `prefix`. Safe to call
   /// while queries run; concurrent writes land in the snapshot or don't,

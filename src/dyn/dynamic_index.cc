@@ -1,13 +1,11 @@
 #include "dyn/dynamic_index.h"
 
 #include <algorithm>
-#include <atomic>
-#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
 
-#include "core/batch_query.h"
+#include "baseline/sequential_scan.h"
 #include "util/macros.h"
 
 namespace mbi {
@@ -77,44 +75,35 @@ double PointwiseBound(const SimilarityFunction& similarity,
 
 // --- DynComponent -----------------------------------------------------------
 
-std::shared_ptr<const DynComponent> DynComponent::Create(
-    int level, std::vector<TransactionId> gids, TransactionDatabase rows,
-    const IndexBuildConfig& build, bool quarantine) {
+DynComponent::DynComponent(int run_level, std::vector<TransactionId> run_gids,
+                           TransactionDatabase run_rows)
+    : level(run_level),
+      gids(std::move(run_gids)),
+      rows(std::move(run_rows)),
+      engine(&rows) {
   MBI_CHECK(gids.size() == rows.size());
   MBI_CHECK(!rows.empty());
   MBI_CHECK(std::is_sorted(gids.begin(), gids.end()));
-  auto component = std::make_shared<DynComponent>(std::move(rows));
-  component->level = level;
-  component->gids = std::move(gids);
-  component->layout = CandidateLayout::Build(component->rows);
-  component->quarantined = quarantine;
-  if (!quarantine) {
-    component->table.emplace(BuildIndex(component->rows, build));
-    component->engine.emplace(&component->rows, &component->table.value(),
-                              &component->layout);
-  }
-  component->scanner.emplace(&component->rows, &component->layout);
+}
+
+std::shared_ptr<const DynComponent> DynComponent::Create(
+    int level, std::vector<TransactionId> gids, TransactionDatabase rows,
+    const IndexBuildConfig& build) {
+  auto component =
+      std::make_shared<DynComponent>(level, std::move(gids), std::move(rows));
+  component->engine.AdoptTable(BuildIndex(component->rows, build));
   return component;
 }
 
-std::shared_ptr<const DynComponent> DynComponent::CreateFromLoaded(
+std::shared_ptr<const DynComponent> DynComponent::Open(
     int level, std::vector<TransactionId> gids, TransactionDatabase rows,
-    std::optional<SignatureTable> table) {
-  MBI_CHECK(gids.size() == rows.size());
-  MBI_CHECK(!rows.empty());
-  MBI_CHECK(std::is_sorted(gids.begin(), gids.end()));
-  auto component = std::make_shared<DynComponent>(std::move(rows));
-  component->level = level;
-  component->gids = std::move(gids);
-  component->layout = CandidateLayout::Build(component->rows);
-  if (table.has_value()) {
-    component->table.emplace(std::move(*table));
-    component->engine.emplace(&component->rows, &component->table.value(),
-                              &component->layout);
-  } else {
-    component->quarantined = true;
-  }
-  component->scanner.emplace(&component->rows, &component->layout);
+    const std::string& table_path, Env* env) {
+  auto component =
+      std::make_shared<DynComponent>(level, std::move(gids), std::move(rows));
+  // A failed open is not an error here: the rows are intact, and the engine
+  // serves them through its sequential fallback until a merge rebuilds the
+  // table.
+  component->engine.OpenIndex(table_path, env).IgnoreError();
   return component;
 }
 
@@ -527,16 +516,10 @@ uint64_t DynamicIndex::QueryComponent(const Part& part,
                                       DynQueryContext* context) const {
   const DynComponent& component = *part.component;
   NearestNeighborResult* out = &context->component_result;
-  if (component.quarantined) {
-    component.scanner->FindKNearest(target, family, k_component,
-                                    options.budget, out, part.deleted.get());
-    out->stats.sequential_fallbacks = 1;
-  } else {
-    SearchOptions filtered = options;
-    filtered.deleted_rows = part.deleted.get();
-    component.engine->FindKNearest(target, family, k_component, filtered,
-                                   &context->context, out);
-  }
+  SearchOptions filtered = options;
+  filtered.deleted_rows = part.deleted.get();
+  component.engine.FindKNearest(target, family, k_component, filtered,
+                                &context->context, out);
   // Map component-local ids to global ids before the merge sees them.
   for (Neighbor& neighbor : out->neighbors) {
     neighbor.id = component.gids[neighbor.id];
@@ -578,27 +561,11 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   if (buffered > 0) {
     size_t scanned = 0;
     uint64_t evaluated = 0;
-    bool expired = false;
     while (scanned < buffered) {
-      // Min-one-chunk rule: the first chunk always scans; later chunks check
-      // deadline/cancel/entry-cap first (DESIGN.md §13.4).
-      if (scanned > 0 && budget.limited()) {
-        if (budget.cancelled()) {
-          buffer_stats.termination = QueryTermination::kCancelled;
-          expired = true;
-          break;
-        }
-        if (budget.deadline_expired()) {
-          buffer_stats.termination = QueryTermination::kDeadline;
-          expired = true;
-          break;
-        }
-        if (scanned >= budget.max_entries) {
-          buffer_stats.termination = QueryTermination::kEntryBudget;
-          expired = true;
-          break;
-        }
-      }
+      // Min-one-chunk rule: the first chunk always scans; later chunks poll
+      // the budget first (DESIGN.md §13.4).
+      buffer_stats.termination = budget.Poll(scanned);
+      if (buffer_stats.termination != QueryTermination::kCompleted) break;
       const size_t end = std::min(buffered, scanned + kBufferScanChunk);
       for (; scanned < end; ++scanned) {
         if (buffer_deleted != nullptr &&
@@ -618,7 +585,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
     buffer_stats.entries_scanned = scanned;
     buffer_stats.transactions_evaluated = evaluated;
     buffer_stats.entries_unexplored = buffered - scanned;
-    if (expired) {
+    if (buffer_stats.termination != QueryTermination::kCompleted) {
       buffer_stats.is_exact = false;
       buffer_stats.certificate_bound = optimistic;
     }
@@ -635,15 +602,8 @@ void DynamicIndex::FindKNearest(const Transaction& target,
     const size_t live = part.live();
     // Every row deleted: nothing to answer (its pending rewrite drops it).
     if (live == 0) continue;
-    QueryTermination skip_cause = QueryTermination::kCompleted;
-    if (budget.cancelled()) {
-      skip_cause = QueryTermination::kCancelled;
-    } else if (budget.deadline_expired()) {
-      skip_cause = QueryTermination::kDeadline;
-    } else if (charged >= budget.max_entries) {
-      skip_cause = QueryTermination::kEntryBudget;
-    }
-    if (skip_cause != QueryTermination::kCompleted && charged > 0) {
+    const QueryTermination skip_cause = budget.Poll(charged);
+    if (skip_cause != QueryTermination::kCompleted) {
       // Budget exhausted mid-fanout: this component's rows are certified
       // unexplored under the pointwise bound (the min-one rule already ran
       // at least one probe somewhere).
@@ -680,58 +640,6 @@ NearestNeighborResult DynamicIndex::FindKNearest(
   NearestNeighborResult result;
   FindKNearest(target, family, k, options, &context, &result);
   return result;
-}
-
-void DynamicIndex::FindKNearestBatch(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    size_t k, const SearchOptions& options, size_t num_threads,
-    ThreadPool* pool, DynBatchWorkspace* workspace,
-    std::vector<NearestNeighborResult>* results) const {
-  results->resize(targets.size());
-  if (targets.empty()) return;
-
-  size_t shards = pool != nullptr ? pool->num_threads()
-                  : num_threads > 0
-                      ? num_threads
-                      : static_cast<size_t>(1);
-  shards = std::min(shards, targets.size());
-  while (workspace->contexts.size() < std::max<size_t>(shards, 1)) {
-    workspace->contexts.emplace_back();
-  }
-
-  if (shards <= 1) {
-    DynQueryContext& context = workspace->contexts.front();
-    for (size_t i = 0; i < targets.size(); ++i) {
-      FindKNearest(targets[i], family, k, options, &context, &(*results)[i]);
-    }
-    return;
-  }
-
-  // Same dynamic sharding as mbi::FindKNearestBatch: one context per shard,
-  // an atomic cursor over targets, results written to disjoint slots.
-  std::atomic<size_t> cursor{0};
-  std::latch done(static_cast<ptrdiff_t>(shards));
-  auto worker = [&, this](size_t shard) {
-    DynQueryContext& context = workspace->contexts[shard];
-    for (;;) {
-      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= targets.size()) break;
-      FindKNearest(targets[i], family, k, options, &context, &(*results)[i]);
-    }
-    done.count_down();
-  };
-  if (pool != nullptr) {
-    for (size_t shard = 0; shard < shards; ++shard) {
-      pool->Submit([&worker, shard] { worker(shard); });
-    }
-    done.wait();
-  } else {
-    ThreadPool local(shards);
-    for (size_t shard = 0; shard < shards; ++shard) {
-      local.Submit([&worker, shard] { worker(shard); });
-    }
-    done.wait();
-  }
 }
 
 // --- Introspection ----------------------------------------------------------
@@ -808,9 +716,6 @@ Status DynamicIndex::CheckInvariants() const {
     }
     if (!std::is_sorted(component.gids.begin(), component.gids.end())) {
       return Status::Corruption("component gids not sorted");
-    }
-    if (!component.quarantined && !component.table.has_value()) {
-      return Status::Corruption("healthy component without a table");
     }
     if (part.deleted != nullptr &&
         part.deleted->size() != component.size()) {

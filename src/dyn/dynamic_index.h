@@ -3,21 +3,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
-#include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
-#include "core/signature_table.h"
 #include "dyn/knn_merger.h"
 #include "dyn/mutable_buffer.h"
 #include "dyn/scheduler.h"
-#include "txn/candidate_layout.h"
+#include "engine/engine.h"
+#include "storage/env.h"
 #include "txn/database.h"
 #include "txn/deleted_rows.h"
 #include "txn/packed_target.h"
@@ -29,21 +28,24 @@
 
 namespace mbi {
 
-/// One immutable run of the dynamized index: a static signature table over a
-/// frozen set of rows, plus the local→global id map. Published as
-/// shared_ptr<const DynComponent>; queries pin a component with a snapshot
-/// and never observe it change, so level reconstructions need no read locks.
+/// One immutable run of the dynamized index: a frozen set of rows, the
+/// local→global id map, and the SignatureTableEngine that serves queries over
+/// those rows. Published as shared_ptr<const DynComponent>; queries pin a
+/// component with a snapshot and never observe it change, so level
+/// reconstructions need no read locks.
 ///
-/// A component whose persisted table failed verification on load is
-/// *quarantined*: its rows (the source of truth) are intact and it answers
-/// queries exactly via SequentialScanner, just without pruning — durability
-/// damage degrades one level, not the engine (DESIGN.md §13.5). The next
-/// merge that consumes the component rebuilds its table and clears the
-/// quarantine naturally.
+/// The engine owns the component's layout, table, branch-and-bound engine,
+/// sequential scanner and quarantine state, so the table-or-scan choice has
+/// one home. A component whose persisted table did not load (missing or
+/// corrupt shard) has no table: its rows (the source of truth) are intact and
+/// the engine answers exactly through its sequential fallback, just without
+/// pruning — durability damage degrades one level, not the index (DESIGN.md
+/// §13.5). The next merge that consumes the component rebuilds its table.
 struct DynComponent {
-  /// TransactionDatabase has no default state; Create/CreateFromLoaded are
-  /// the real constructors.
-  explicit DynComponent(TransactionDatabase r) : rows(std::move(r)) {}
+  /// Freezes `rows` (local ids [0, rows.size())) under `gids`; the engine
+  /// starts without a table. Create/Open are the real constructors.
+  DynComponent(int run_level, std::vector<TransactionId> run_gids,
+               TransactionDatabase run_rows);
 
   /// Bentley–Saxe level. Level 0 holds fresh buffer spills; a merge of
   /// level-L components publishes at level L+1.
@@ -57,31 +59,23 @@ struct DynComponent {
   /// The component's rows under *local* ids [0, rows.size()).
   TransactionDatabase rows;
 
-  CandidateLayout layout;
-  std::optional<SignatureTable> table;
-
-  /// True when `table` could not be built/loaded soundly; queries fall back
-  /// to `scanner` (exact, unpruned) for this component only.
-  bool quarantined = false;
-
-  /// Engines borrow rows/table/layout, so they are emplaced last and the
-  /// component must never be moved after Create() — hence shared_ptr<const>.
-  std::optional<BranchAndBoundEngine> engine;
-  std::optional<SequentialScanner> scanner;
+  /// Borrows `rows`, so the component must never be moved after
+  /// construction — hence shared_ptr<const>.
+  SignatureTableEngine engine;
 
   /// Builds a component from `(gid, row)` pairs sorted by gid: runs the full
   /// mining/clustering pass (BuildIndex) so signatures track the merged
-  /// rows' correlation structure, then wires layout/engine/scanner. With
-  /// `quarantine` set, skips the table build (load path for damaged tables).
+  /// rows' correlation structure.
   static std::shared_ptr<const DynComponent> Create(
       int level, std::vector<TransactionId> gids, TransactionDatabase rows,
-      const IndexBuildConfig& build, bool quarantine = false);
+      const IndexBuildConfig& build);
 
-  /// Load path: adopts an already-persisted table instead of re-mining;
-  /// nullopt means the table shard was damaged → quarantined component.
-  static std::shared_ptr<const DynComponent> CreateFromLoaded(
+  /// Load path: opens the persisted table at `table_path` instead of
+  /// re-mining. Any load failure leaves the component on the engine's
+  /// sequential fallback.
+  static std::shared_ptr<const DynComponent> Open(
       int level, std::vector<TransactionId> gids, TransactionDatabase rows,
-      std::optional<SignatureTable> table);
+      const std::string& table_path, Env* env);
 
   size_t size() const { return rows.size(); }
 };
@@ -95,13 +89,6 @@ struct DynQueryContext {
   KnnMerger merger;
   PackedTarget packed;
   std::unique_ptr<SimilarityFunction> similarity;
-};
-
-/// Per-batch workspace: per-shard contexts and results live here so repeated
-/// batches through a warm workspace reuse every buffer (deque: growth never
-/// moves an in-use context).
-struct DynBatchWorkspace {
-  std::deque<DynQueryContext> contexts;
 };
 
 struct DynamicIndexOptions {
@@ -153,13 +140,14 @@ struct DynamicIndexOptions {
 /// than a quarter deleted is rewritten alone at its own level, so deleted
 /// rows stay bounded by construction; level merges purge them too.
 ///
-/// Queries fan out across buffer + every component, asking each for plain k
-/// (a part's answer is exact over its live rows), and merge under the
-/// paper's optimistic-bound semantics (KnnMerger): values and cutoff-tie
-/// behaviour are bit-identical to one SequentialScanner over the live union
-/// (dyn_differential_test gates this), certificates merge as max, and a
-/// budget that expires mid-fanout skips remaining components with their rows
-/// certified unexplored.
+/// Queries fan out across buffer + every component, asking each component's
+/// SignatureTableEngine — the static front door, with its own table-or-scan
+/// fallback — for plain k (a part's answer is exact over its live rows), and
+/// merge under the paper's optimistic-bound semantics (KnnMerger): values
+/// and cutoff-tie behaviour are bit-identical to one SequentialScanner over
+/// the live union (dyn_differential_test gates this), certificates merge as
+/// max, and a budget that expires mid-fanout skips remaining components with
+/// their rows certified unexplored.
 ///
 /// Thread safety: any number of concurrent readers (each with its own
 /// DynQueryContext) against one writer; Insert/Delete/Compact serialize on
@@ -201,15 +189,6 @@ class DynamicIndex {
   NearestNeighborResult FindKNearest(const Transaction& target,
                                      const SimilarityFamily& family, size_t k,
                                      const SearchOptions& options = {}) const;
-
-  /// Batch fan-out sharded over `pool` (or `num_threads` internal threads;
-  /// both 0/null → serial). Mirrors mbi::FindKNearestBatch: results are
-  /// bit-identical to the serial loop regardless of sharding.
-  void FindKNearestBatch(const std::vector<Transaction>& targets,
-                         const SimilarityFamily& family, size_t k,
-                         const SearchOptions& options, size_t num_threads,
-                         ThreadPool* pool, DynBatchWorkspace* workspace,
-                         std::vector<NearestNeighborResult>* results) const;
 
   /// Merges everything (buffer + all levels) into a single component on the
   /// calling thread and purges every deleted row. Concurrent queries

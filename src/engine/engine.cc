@@ -135,18 +135,17 @@ void SignatureTableEngine::RecordQuery(const QueryStats& stats, bool is_range,
       ->Record(elapsed_us);
 }
 
-NearestNeighborResult SignatureTableEngine::SequentialKNearest(
+void SignatureTableEngine::SequentialKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
-    const QueryBudget& budget, const DeletedRows* deleted) const {
+    const QueryBudget& budget, const DeletedRows* deleted,
+    NearestNeighborResult* result) const {
   fallback_queries_.fetch_add(1, std::memory_order_relaxed);
   // The budget-aware scanner fills the complete QueryStats — including the
   // termination / is_exact / certificate_bound trio, which an earlier
   // version of this path silently dropped by rebuilding the stats by hand
   // (query_budget_test pins the regression).
-  NearestNeighborResult result;
-  scanner_.FindKNearest(target, family, k, budget, &result, deleted);
-  result.stats.sequential_fallbacks = 1;
-  return result;
+  scanner_.FindKNearest(target, family, k, budget, result, deleted);
+  result->stats.sequential_fallbacks = 1;
 }
 
 RangeQueryResult SignatureTableEngine::SequentialInRange(
@@ -159,34 +158,47 @@ RangeQueryResult SignatureTableEngine::SequentialInRange(
   return result;
 }
 
-NearestNeighborResult SignatureTableEngine::FindKNearestImpl(
+void SignatureTableEngine::FindKNearestImpl(
     const Transaction& target, const SimilarityFamily& family, size_t k,
-    const SearchOptions& options, QueryContext* context) const {
+    const SearchOptions& options, QueryContext* context,
+    NearestNeighborResult* result) const {
   if (!healthy()) {
     // Same tightest-wins budget merge the branch-and-bound path applies.
-    return SequentialKNearest(
+    SequentialKNearest(
         target, family, k,
         context != nullptr
             ? QueryBudget::Tightest(options.budget, context->budget())
             : options.budget,
-        options.deleted_rows);
+        options.deleted_rows, result);
+    return;
   }
   if (context != nullptr) {
-    return engine_->FindKNearest(target, family, k, options, context);
+    engine_->FindKNearest(target, family, k, options, context, result);
+    return;
   }
-  return engine_->FindKNearest(target, family, k, options);
+  QueryContext local;
+  engine_->FindKNearest(target, family, k, options, &local, result);
+}
+
+void SignatureTableEngine::FindKNearest(const Transaction& target,
+                                        const SimilarityFamily& family,
+                                        size_t k, const SearchOptions& options,
+                                        QueryContext* context,
+                                        NearestNeighborResult* result) const {
+  if (!metrics_enabled_) {
+    FindKNearestImpl(target, family, k, options, context, result);
+    return;
+  }
+  ScopedTimer timer(nullptr);
+  FindKNearestImpl(target, family, k, options, context, result);
+  RecordQuery(result->stats, /*is_range=*/false, timer.ElapsedUs());
 }
 
 NearestNeighborResult SignatureTableEngine::FindKNearest(
     const Transaction& target, const SimilarityFamily& family, size_t k,
     const SearchOptions& options, QueryContext* context) const {
-  if (!metrics_enabled_) {
-    return FindKNearestImpl(target, family, k, options, context);
-  }
-  ScopedTimer timer(nullptr);
-  NearestNeighborResult result =
-      FindKNearestImpl(target, family, k, options, context);
-  RecordQuery(result.stats, /*is_range=*/false, timer.ElapsedUs());
+  NearestNeighborResult result;
+  FindKNearest(target, family, k, options, context, &result);
   return result;
 }
 
@@ -225,10 +237,10 @@ std::vector<NearestNeighborResult> SignatureTableEngine::FindKNearestBatch(
     // Degraded mode: answer each target exactly via the scanner. Parallelism
     // is not worth preserving here — the whole mode exists to limp along
     // until the index is rebuilt.
-    results.reserve(targets.size());
-    for (const Transaction& target : targets) {
-      results.push_back(SequentialKNearest(target, family, k, options.budget,
-                                           options.deleted_rows));
+    results.resize(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      SequentialKNearest(targets[i], family, k, options.budget,
+                         options.deleted_rows, &results[i]);
     }
   }
   if (metrics_enabled_) {

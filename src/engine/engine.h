@@ -34,6 +34,11 @@ namespace mbi {
 /// directory is derived data, the database is the source of truth, so a
 /// corrupt index file should cost throughput, never correctness or uptime.
 /// Rebuild the index (`mbi build`) to leave quarantine.
+///
+/// This is the one place that chooses between table search and scan: every
+/// component of a DynamicIndex is a SignatureTableEngine over its own rows
+/// (DynComponent), so a component whose table shard failed to load falls
+/// back exactly like a static index does.
 class SignatureTableEngine {
  public:
   /// `database` must outlive the engine and is always trusted (its own
@@ -85,6 +90,14 @@ class SignatureTableEngine {
                                      const SimilarityFamily& family, size_t k,
                                      const SearchOptions& options = {},
                                      QueryContext* context = nullptr) const;
+
+  /// Result-out form of FindKNearest (the by-value form wraps it): `*result`
+  /// is overwritten, keeping its capacity, so a healthy engine queried
+  /// through a warm (context, result) pair allocates nothing — the form each
+  /// dynamized component is queried through.
+  void FindKNearest(const Transaction& target, const SimilarityFamily& family,
+                    size_t k, const SearchOptions& options,
+                    QueryContext* context, NearestNeighborResult* result) const;
 
   /// Range query with the same fallback contract as FindKNearest.
   RangeQueryResult FindInRange(const Transaction& target,
@@ -157,18 +170,18 @@ class SignatureTableEngine {
     Counter* cancelled = nullptr;
   };
 
-  NearestNeighborResult SequentialKNearest(const Transaction& target,
-                                           const SimilarityFamily& family,
-                                           size_t k, const QueryBudget& budget,
-                                           const DeletedRows* deleted) const;
+  void SequentialKNearest(const Transaction& target,
+                          const SimilarityFamily& family, size_t k,
+                          const QueryBudget& budget, const DeletedRows* deleted,
+                          NearestNeighborResult* result) const;
   RangeQueryResult SequentialInRange(const Transaction& target,
                                      const SimilarityFamily& family,
                                      double threshold,
                                      const QueryBudget& budget) const;
-  NearestNeighborResult FindKNearestImpl(const Transaction& target,
-                                         const SimilarityFamily& family,
-                                         size_t k, const SearchOptions& options,
-                                         QueryContext* context) const;
+  void FindKNearestImpl(const Transaction& target,
+                        const SimilarityFamily& family, size_t k,
+                        const SearchOptions& options, QueryContext* context,
+                        NearestNeighborResult* result) const;
   RangeQueryResult FindInRangeImpl(const Transaction& target,
                                    const SimilarityFamily& family,
                                    double threshold,

@@ -609,6 +609,48 @@ TEST(DynIoTest, CorruptTableQuarantinesOneComponentOnly) {
   EXPECT_EQ(healed.stats.sequential_fallbacks, 0u);
 }
 
+TEST(DynIoTest, MissingTableShardFallsBackToExactScan) {
+  QuestGenerator generator(GeneratorConfig());
+  DynamicIndexOptions options = SmallOptions();
+  DynamicIndex index(200, options);
+  FillIndex(&index, &generator, 48);  // Ends as L2(32) + L1(16): two shards.
+  ASSERT_GE(index.num_components(), 2u);
+
+  const std::string prefix = ::testing::TempDir() + "dyn_missing_table";
+  ASSERT_TRUE(DynIo::Save(index, prefix).ok());
+
+  // Component 0's table shard is gone (not damaged); its rows stay intact.
+  Env* env = Env::Default();
+  ASSERT_TRUE(env->RemoveFile(DynIo::TablePath(prefix, 0)).ok());
+
+  auto loaded_or = DynIo::Load(prefix, options);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  std::unique_ptr<DynamicIndex> loaded = std::move(loaded_or).value();
+  EXPECT_TRUE(loaded->CheckInvariants().ok());
+
+  MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  NearestNeighborResult original = index.FindKNearest(target, family, 8);
+  NearestNeighborResult degraded = loaded->FindKNearest(target, family, 8);
+  ASSERT_EQ(degraded.neighbors.size(), original.neighbors.size());
+  for (size_t i = 0; i < degraded.neighbors.size(); ++i) {
+    EXPECT_EQ(degraded.neighbors[i].similarity,
+              original.neighbors[i].similarity);
+  }
+  EXPECT_TRUE(degraded.guaranteed_exact);
+  EXPECT_GE(degraded.stats.sequential_fallbacks, 1u);
+
+  // Re-saving writes no table for the table-less component.
+  ASSERT_TRUE(DynIo::Save(*loaded, prefix).ok());
+  EXPECT_FALSE(env->FileExists(DynIo::TablePath(prefix, 0)));
+  EXPECT_TRUE(env->FileExists(DynIo::TablePath(prefix, 1)));
+
+  // A compaction re-mines everything and rebuilds the missing table.
+  ASSERT_TRUE(loaded->Compact().ok());
+  NearestNeighborResult healed = loaded->FindKNearest(target, family, 8);
+  EXPECT_EQ(healed.stats.sequential_fallbacks, 0u);
+}
+
 TEST(DynIoTest, CorruptRowsFailTheLoad) {
   QuestGenerator generator(GeneratorConfig());
   DynamicIndex index(200, SmallOptions());

@@ -281,7 +281,9 @@ TEST(OverloadTest, AdmittedBatchesDegradeInsteadOfQueueingUnboundedly) {
               const bool returned = std::any_of(
                   result.neighbors.begin(), result.neighbors.end(),
                   [&](const Neighbor& n) { return n.id == truth.id; });
-              if (!returned) ASSERT_GE(reachable, truth.similarity);
+              if (!returned) {
+                ASSERT_GE(reachable, truth.similarity);
+              }
             }
           }
         }

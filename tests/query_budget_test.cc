@@ -99,6 +99,39 @@ TEST(QueryBudgetTest, WithDeadlineAfterMsUsesTheInjectedClock) {
   EXPECT_TRUE(budget.deadline_expired());
 }
 
+TEST(QueryBudgetTest, PollAppliesMinOneRuleAndFixedPrecedence) {
+  // Unlimited: never trips, whatever has been scanned.
+  EXPECT_EQ(QueryBudget{}.Poll(0), QueryTermination::kCompleted);
+  EXPECT_EQ(QueryBudget{}.Poll(1u << 30), QueryTermination::kCompleted);
+
+  // Every limit tripped at once: deadline past, cap reached, token set.
+  ManualClock clock(1000.0);
+  std::atomic<bool> cancel{true};
+  QueryBudget budget;
+  budget.deadline_us = 500.0;
+  budget.max_entries = 4;
+  budget.cancel = &cancel;
+  budget.clock = &clock;
+
+  // Min-one rule: nothing scanned yet → keep going, even though expired.
+  EXPECT_EQ(budget.Poll(0), QueryTermination::kCompleted);
+
+  // Precedence: cancel > entry cap > deadline.
+  EXPECT_EQ(budget.Poll(4), QueryTermination::kCancelled);
+  cancel.store(false);
+  EXPECT_EQ(budget.Poll(4), QueryTermination::kEntryBudget);
+  EXPECT_EQ(budget.Poll(3), QueryTermination::kDeadline);
+  clock.AdvanceUs(-600.0);  // Back before the deadline.
+  EXPECT_EQ(budget.Poll(3), QueryTermination::kCompleted);
+
+  // The cap is tested before the clock: a tripped cap reads no time.
+  ManualClock ticking(0.0, /*auto_advance_us=*/10.0);
+  budget.clock = &ticking;
+  budget.deadline_us = 1e9;
+  EXPECT_EQ(budget.Poll(4), QueryTermination::kEntryBudget);
+  EXPECT_EQ(ticking.NowUs(), 0.0);
+}
+
 TEST(QueryBudgetTest, PreExpiredDeadlineStillAnswersWithCertificate) {
   TransactionDatabase db = MakeDatabase(2000);
   SignatureTable table = BuildOver(db);
