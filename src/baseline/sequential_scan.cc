@@ -55,6 +55,8 @@ SequentialScanner::SequentialScanner(const TransactionDatabase* database,
   MBI_CHECK(database != nullptr);
   MBI_CHECK_MSG(layout == nullptr || layout->num_rows() == database->size(),
                 "the candidate layout must cover exactly the database rows");
+  MBI_CHECK_MSG(layout == nullptr || layout->in_tid_order(),
+                "the scanner's candidate layout must be in TID order");
 }
 
 void SequentialScanner::set_metrics(MetricsRegistry* registry) {
@@ -116,6 +118,7 @@ MBI_HOT SequentialScanner::ScanOutcome SequentialScanner::ScoreAllCandidates(
       }
       const size_t live = deleted->RemoveFlagged(live_ids, len);
       if (use_layout) {
+        // The layout is in TID order, so the surviving ids are its rows.
         packed.MatchAndHammingBatch(live_ids, live, match, hamming);
       } else {
         for (size_t i = 0; i < live; ++i) {

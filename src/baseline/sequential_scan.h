@@ -26,7 +26,8 @@ namespace mbi {
 class SequentialScanner {
  public:
   /// With a non-null `layout` (a blocked candidate bitmap covering exactly
-  /// the rows of `database`, see txn/candidate_layout.h; aborts otherwise),
+  /// the rows of `database` in TID order, so that ids are rows, see
+  /// txn/candidate_layout.h; aborts otherwise),
   /// single-target scans stream the dense rows through the
   /// runtime-dispatched SIMD match kernel in fixed-size chunks; the default
   /// keeps the per-candidate probe, preserving this class's role as an

@@ -35,6 +35,24 @@ struct EntryOrder {
   std::vector<double> optimistic;  // Optimistic bound per entry index.
 };
 
+/// True when row r of `layout` holds the r-th id of `table`'s entry row
+/// order (SignatureTable::EntryRowOrder), walked page by page without
+/// materializing the order.
+bool RowsInEntryOrder(const SignatureTable& table,
+                      const CandidateLayout& layout) {
+  if (layout.num_rows() != table.entry_row_begin().back()) return false;
+  const std::vector<Page>& pages = table.store().page_store().pages();
+  size_t row = 0;
+  for (size_t e = 0; e < table.entries().size(); ++e) {
+    for (PageId page : table.PagesOfEntry(e)) {
+      for (TransactionId id : pages[page].transaction_ids) {
+        if (layout.tid_of_row(row++) != id) return false;
+      }
+    }
+  }
+  return true;
+}
+
 /// Transactions-evaluated budget implied by the early-termination fraction.
 uint64_t AccessBudget(double fraction, uint64_t database_size) {
   MBI_CHECK_MSG(fraction > 0.0 && fraction <= 1.0,
@@ -52,14 +70,17 @@ BranchAndBoundEngine::BranchAndBoundEngine(const TransactionDatabase* database,
     : database_(database), table_(table), layout_(layout) {
   MBI_CHECK(database != nullptr && table != nullptr);
   MBI_CHECK(database->universe_size() == table->partition().universe_size());
-  if (layout_ == nullptr) {
-    owned_layout_ =
-        std::make_shared<const CandidateLayout>(CandidateLayout::Build(*database));
+  MBI_CHECK_MSG(table->num_indexed_transactions() == database->size() &&
+                    (layout_ == nullptr ||
+                     layout_->num_rows() == database->size()),
+                "table, layout and database must cover the same rows");
+  // Each scanned entry is streamed as one row range, so the rows must be in
+  // the table's entry order; any other layout is replaced by a private one.
+  if (layout_ == nullptr || !RowsInEntryOrder(*table, *layout_)) {
+    owned_layout_ = std::make_shared<const CandidateLayout>(
+        CandidateLayout::Build(*database, table->EntryRowOrder()));
     layout_ = owned_layout_.get();
   }
-  MBI_CHECK_MSG(table->num_indexed_transactions() == database->size() &&
-                    layout_->num_rows() == database->size(),
-                "table, layout and database must cover the same rows");
 }
 
 NearestNeighborResult BranchAndBoundEngine::FindNearest(
@@ -290,13 +311,20 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       std::push_heap(knn_heap.begin(), knn_heap.end(), BetterThan());
     }
   };
-  // Batched evaluation of one entry's candidate list through the SIMD
-  // match kernel, the engine's only scoring path. Integer x/y per candidate
-  // accumulated over targets in ascending t, then divided (not multiplied
-  // by a reciprocal) so the value is bit-identical to an oracle computing
-  // sum / n and ties compare exactly — proven at the engine level by
-  // kernel_test.cc's forced-ISA sweep against FindKNearestReference.
-  auto evaluate_candidates_batch = [&](const TransactionId* ids, size_t n) {
+  // One scanned entry is one contiguous run of layout rows (the layout is in
+  // the table's entry order), streamed through the SIMD match kernel — the
+  // engine's only scoring path. Integer x/y per candidate accumulated over
+  // targets in ascending t, then divided (not multiplied by a reciprocal) so
+  // the value is bit-identical to an oracle computing sum / n and ties
+  // compare exactly — proven at the engine level by kernel_test.cc's
+  // forced-ISA sweep against FindKNearestReference. Rows keep the entry's
+  // page order, so candidates reach the k-heap in the order the bucket
+  // lists them; deleted rows are scored with their neighbours but never
+  // reach it.
+  const std::vector<uint32_t>& row_begin = table_->entry_row_begin();
+  auto evaluate_entry = [&](uint32_t entry_index) {
+    const size_t first = row_begin[entry_index];
+    const size_t n = row_begin[entry_index + 1] - first;
     if (ctx.match_scratch_.size() < n) {
       ctx.match_scratch_.resize(n);
       ctx.hamming_scratch_.resize(n);
@@ -304,8 +332,8 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
     if (ctx.score_scratch_.size() < n) ctx.score_scratch_.resize(n);
     std::fill_n(ctx.score_scratch_.begin(), n, 0.0);
     for (size_t t = 0; t < num_targets; ++t) {
-      ctx.packed_targets_[t].MatchAndHammingBatch(
-          ids, n, ctx.match_scratch_.data(), ctx.hamming_scratch_.data());
+      ctx.packed_targets_[t].MatchAndHammingRows(
+          first, n, ctx.match_scratch_.data(), ctx.hamming_scratch_.data());
       for (size_t i = 0; i < n; ++i) {
         ctx.score_scratch_[i] += ctx.functions_[t]->Evaluate(
             static_cast<int>(ctx.match_scratch_[i]),
@@ -313,7 +341,9 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      finish_candidate(ids[i], ctx.score_scratch_[i] / target_count);
+      const TransactionId id = layout_->tid_of_row(first + i);
+      if (deleted != nullptr && deleted->contains(id)) continue;
+      finish_candidate(id, ctx.score_scratch_[i] / target_count);
     }
   };
 
@@ -366,16 +396,9 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
       continue;
     }
     record_trace(entry_index, EntryTrace::Action::kScanned);
-    table_->FetchEntryTransactions(entry_index, &result.stats.io,
-                                   &ctx.candidate_ids_);
+    table_->ChargeEntryRead(entry_index, &result.stats.io);
     ++result.stats.entries_scanned;
-    // Deleted rows drop out before the kernel; compaction is in place, so
-    // the filtered path allocates nothing either.
-    size_t candidates = ctx.candidate_ids_.size();
-    if (deleted != nullptr) {
-      candidates = deleted->RemoveFlagged(ctx.candidate_ids_.data(), candidates);
-    }
-    evaluate_candidates_batch(ctx.candidate_ids_.data(), candidates);
+    evaluate_entry(entry_index);
     if (result.stats.transactions_evaluated >= budget && remaining > 0) {
       terminated_early = true;
       termination = QueryTermination::kAccessFraction;
@@ -661,7 +684,7 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   std::vector<int32_t> bound_dist(entries.size());
   calculator.ComputeBatch(table_->coordinates().data(), entries.size(),
                           bound_match.data(), bound_dist.data());
-  std::vector<TransactionId> ids;
+  const std::vector<uint32_t>& row_begin = table_->entry_row_begin();
   std::vector<uint32_t> match_scratch;
   std::vector<uint32_t> hamming_scratch;
   for (uint32_t i = 0; i < entries.size(); ++i) {
@@ -692,13 +715,15 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
       ++result.stats.entries_pruned;
       continue;
     }
-    table_->FetchEntryTransactions(i, &result.stats.io, &ids);
+    table_->ChargeEntryRead(i, &result.stats.io);
     ++result.stats.entries_scanned;
-    match_scratch.resize(ids.size());
-    hamming_scratch.resize(ids.size());
-    packed.MatchAndHammingBatch(ids.data(), ids.size(), match_scratch.data(),
-                                hamming_scratch.data());
-    for (size_t c = 0; c < ids.size(); ++c) {
+    const size_t first = row_begin[i];
+    const size_t n = row_begin[i + 1] - first;
+    match_scratch.resize(n);
+    hamming_scratch.resize(n);
+    packed.MatchAndHammingRows(first, n, match_scratch.data(),
+                               hamming_scratch.data());
+    for (size_t c = 0; c < n; ++c) {
       ++result.stats.transactions_evaluated;
       bool qualifies = true;
       double primary_similarity = 0.0;
@@ -712,7 +737,10 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
           break;
         }
       }
-      if (qualifies) result.matches.push_back({ids[c], primary_similarity});
+      if (qualifies) {
+        result.matches.push_back(
+            {layout_->tid_of_row(first + c), primary_similarity});
+      }
     }
     if (result.stats.transactions_evaluated >= budget &&
         i + 1 < entries.size()) {

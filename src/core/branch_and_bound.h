@@ -87,10 +87,10 @@ struct SearchOptions {
 
   /// Rows to treat as absent (deleted), keyed by the database's ids; null
   /// searches every row. Flagged ids are dropped from each scanned entry
-  /// before the match kernel runs, so they are never candidates and never
-  /// count in `transactions_evaluated`. Entry bounds cover a superset of the
-  /// live rows, so pruning and the certificate stay sound. Must cover the
-  /// whole database. k-NN only: range queries and the frozen *Reference
+  /// before they reach the k-best heap, so they are never candidates and
+  /// never count in `transactions_evaluated`. Entry bounds cover a superset
+  /// of the live rows, so pruning and the certificate stay sound. Must cover
+  /// the whole database. k-NN only: range queries and the frozen *Reference
   /// paths reject a non-null filter.
   const DeletedRows* deleted_rows = nullptr;
 };
@@ -161,19 +161,24 @@ struct RangeQueryResult {
 /// the visit order a query actually consumes is materialized; per-query
 /// scratch lives in a caller-suppliable QueryContext so repeated queries
 /// allocate nothing on the steady state; and each scanned entry's candidates
-/// are scored in one batch by the SIMD match kernel over the blocked
-/// candidate layout instead of merge-scanning item vectors. All of
+/// are one contiguous row range of the blocked candidate layout (rows in the
+/// table's entry order), scored in one streamed call of the SIMD match
+/// kernel, with the entry's I/O charged from page metadata
+/// (SignatureTable::ChargeEntryRead) instead of decoding its id list. All of
 /// it is bit-identical to the straightforward sort-everything merge-scan
 /// implementation, which is retained as FindKNearest*Reference and pinned by
 /// oracle_equivalence_test.cc.
 class BranchAndBoundEngine {
  public:
-  /// `layout` is the blocked candidate bitmap the SIMD match kernel scans;
-  /// null builds a private one from `database`. Pass a shared layout
-  /// (SignatureTableEngine does) when several engines serve one database.
-  /// The table, the layout and the database must cover the same rows
-  /// (aborts otherwise), and the database must not grow while the engine
-  /// is bound: every candidate is scored through the layout.
+  /// `layout` is the blocked candidate bitmap the SIMD match kernel streams;
+  /// its rows must be in `table`'s entry order (CandidateLayout::Build over
+  /// SignatureTable::EntryRowOrder), checked once here in one pass. A null
+  /// layout, or one in any other row order, is replaced by a private one in
+  /// entry order built from `database` (SignatureTableEngine passes null,
+  /// so its engine owns the binding's one layout). The table, the layout and
+  /// the database must cover the same rows (aborts otherwise), and the
+  /// database must not grow while the engine is bound: every candidate is
+  /// scored through the layout.
   BranchAndBoundEngine(const TransactionDatabase* database,
                        const SignatureTable* table,
                        const CandidateLayout* layout = nullptr);
@@ -286,7 +291,8 @@ class BranchAndBoundEngine {
   const TransactionDatabase* database_;
   const SignatureTable* table_;
   /// Set only when the engine built its own layout (shared_ptr keeps the
-  /// engine copyable); layout_ always points at the layout in use.
+  /// engine copyable); layout_ always points at the layout in use, whose
+  /// rows are in the table's entry order.
   std::shared_ptr<const CandidateLayout> owned_layout_;
   const CandidateLayout* layout_;
 };

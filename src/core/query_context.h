@@ -17,8 +17,8 @@ namespace mbi {
 /// Reusable per-query workspace for BranchAndBoundEngine.
 ///
 /// The engine itself is stateless and read-only; everything a query needs at
-/// runtime — bound-calculator tables, the entry-order heap, the candidate-id
-/// scratch buffer, the k-nearest heap, the packed target bitmaps — lives
+/// runtime — bound-calculator tables, the entry-order heap, the match-kernel
+/// and score buffers, the k-nearest heap, the packed target bitmaps — lives
 /// here. A caller that answers many queries (batch mode, benchmarks, the
 /// `mbi query` CLI loop) constructs one context and passes it to every call;
 /// after the first few queries have grown the buffers, the steady state
@@ -97,8 +97,7 @@ class QueryContext {
   std::vector<int32_t> bound_dist_;
 
   // --- Candidate evaluation scratch. ---
-  std::vector<TransactionId> candidate_ids_;
-  // SIMD match-kernel output for one entry's candidate batch, plus the
+  // SIMD match-kernel output for one entry's row range, plus the
   // per-candidate similarity accumulator across targets.
   std::vector<uint32_t> match_scratch_;
   std::vector<uint32_t> hamming_scratch_;

@@ -19,6 +19,20 @@ SignatureTable::SignatureTable(
       store_(std::move(store)) {
   coordinates_.reserve(entries_.size());
   for (const Entry& entry : entries_) coordinates_.push_back(entry.coordinate);
+  // Row offsets from the pages themselves, so the stream path's ranges and
+  // charges agree with FetchEntryTransactions by construction.
+  const std::vector<Page>& pages = store_.page_store().pages();
+  entry_row_begin_.reserve(entries_.size() + 1);
+  entry_row_begin_.push_back(0);
+  uint64_t rows = 0;
+  for (const Entry& entry : entries_) {
+    for (PageId page : store_.PagesOfBucket(entry.bucket)) {
+      rows += pages[page].transaction_ids.size();
+    }
+    MBI_CHECK_MSG(rows <= coordinate_of_transaction_.size(),
+                  "entry buckets hold more rows than the table indexes");
+    entry_row_begin_.push_back(static_cast<uint32_t>(rows));
+  }
 }
 
 SignatureTable SignatureTable::Build(const TransactionDatabase& database,
@@ -79,10 +93,34 @@ std::vector<TransactionId> SignatureTable::FetchEntryTransactions(
   return store_.FetchBucket(entries_[entry_index].bucket, stats);
 }
 
-MBI_HOT void SignatureTable::FetchEntryTransactions(
+void SignatureTable::FetchEntryTransactions(
     size_t entry_index, IoStats* stats, std::vector<TransactionId>* ids) const {
   MBI_CHECK(entry_index < entries_.size());
   store_.FetchBucket(entries_[entry_index].bucket, stats, ids);
+}
+
+MBI_HOT void SignatureTable::ChargeEntryRead(size_t entry_index,
+                                             IoStats* stats) const {
+  MBI_CHECK(entry_index < entries_.size());
+  store_.page_store().ChargeReads(
+      store_.PagesOfBucket(entries_[entry_index].bucket).size(), stats);
+  if (stats != nullptr) {
+    stats->transactions_fetched += entry_row_begin_[entry_index + 1] -
+                                   entry_row_begin_[entry_index];
+  }
+}
+
+std::vector<TransactionId> SignatureTable::EntryRowOrder() const {
+  std::vector<TransactionId> order;
+  order.reserve(entry_row_begin_.back());
+  const std::vector<Page>& pages = store_.page_store().pages();
+  for (const Entry& entry : entries_) {
+    for (PageId page : store_.PagesOfBucket(entry.bucket)) {
+      order.insert(order.end(), pages[page].transaction_ids.begin(),
+                   pages[page].transaction_ids.end());
+    }
+  }
+  return order;
 }
 
 const std::vector<PageId>& SignatureTable::PagesOfEntry(

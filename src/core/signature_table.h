@@ -99,12 +99,33 @@ class SignatureTable {
   std::vector<TransactionId> FetchEntryTransactions(size_t entry_index,
                                                     IoStats* stats) const;
 
-  /// Scratch-output variant for the query hot path: clears `*ids` and fills
-  /// it with the entry's transaction ids. A buffer reused across entry scans
-  /// allocates nothing once grown to the largest bucket; ids and I/O
-  /// accounting are identical to the returning overload.
-  MBI_HOT void FetchEntryTransactions(size_t entry_index, IoStats* stats,
-                                      std::vector<TransactionId>* ids) const;
+  /// Scratch-output variant: clears `*ids` and fills it with the entry's
+  /// transaction ids. A buffer reused across entry scans allocates nothing
+  /// once grown to the largest bucket; ids and I/O accounting are identical
+  /// to the returning overload.
+  void FetchEntryTransactions(size_t entry_index, IoStats* stats,
+                              std::vector<TransactionId>* ids) const;
+
+  /// Charge-only entry read for engines whose candidate rows are already in
+  /// entry order (entry_row_begin): charges exactly the IoStats and
+  /// mbi.pagestore.pages_read of FetchEntryTransactions — one page read per
+  /// page of the entry's bucket, one transaction fetch per id on them — from
+  /// the page metadata alone, without decoding the id list. Keeps the
+  /// paper's page/byte accounting (Table 1, Figs 6–14) on the stream path.
+  MBI_HOT void ChargeEntryRead(size_t entry_index, IoStats* stats) const;
+
+  /// Every entry's transaction ids, entry by entry in `entries()` order and
+  /// in page order within an entry — the order FetchEntryTransactions
+  /// returns them. A CandidateLayout built in this order
+  /// (CandidateLayout::Build) holds entry e's candidates as the contiguous
+  /// rows [entry_row_begin()[e], entry_row_begin()[e + 1]).
+  std::vector<TransactionId> EntryRowOrder() const;
+
+  /// Row offsets of the entry row order: size entries().size() + 1, entry e
+  /// owning rows [entry_row_begin()[e], entry_row_begin()[e + 1]).
+  const std::vector<uint32_t>& entry_row_begin() const {
+    return entry_row_begin_;
+  }
 
   /// Pages backing one entry (for I/O-shape assertions in tests).
   const std::vector<PageId>& PagesOfEntry(size_t entry_index) const;
@@ -155,6 +176,7 @@ class SignatureTable {
   SignatureTableConfig config_;
   std::vector<Entry> entries_;
   std::vector<Supercoordinate> coordinates_;  // Parallel to entries_.
+  std::vector<uint32_t> entry_row_begin_;     // Size entries_.size() + 1.
   std::vector<Supercoordinate> coordinate_of_transaction_;
   TransactionStore store_;
 };

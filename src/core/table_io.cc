@@ -234,6 +234,32 @@ Status ValidateParts(const std::string& path, const TableParts& parts,
                                 " but the page does not hold it");
     }
   }
+  // Each entry's bucket holds exactly its count, and the entries' buckets
+  // list every transaction once: the entry row order the engines lay their
+  // candidate rows out in (SignatureTable::EntryRowOrder) is then a
+  // permutation of the rows.
+  std::vector<bool> listed(static_cast<size_t>(parts.num_transactions), false);
+  for (const SignatureTable::Entry& entry : parts.entries) {
+    uint64_t held = 0;
+    for (PageId page : parts.buckets[entry.bucket]) {
+      for (TransactionId id : parts.pages[page].transaction_ids) {
+        if (listed[id]) {
+          return Status::Corruption(path + ": transaction " +
+                                    std::to_string(id) +
+                                    " is listed twice across the directory's "
+                                    "buckets");
+        }
+        listed[id] = true;
+        ++held;
+      }
+    }
+    if (held != entry.transaction_count) {
+      return Status::Corruption(
+          path + ": directory entry counts " +
+          std::to_string(entry.transaction_count) +
+          " transactions, its bucket holds " + std::to_string(held));
+    }
+  }
   return Status::Ok();
 }
 

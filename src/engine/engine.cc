@@ -8,10 +8,17 @@
 namespace mbi {
 
 SignatureTableEngine::SignatureTableEngine(const TransactionDatabase* database)
-    : database_(database),
-      layout_(database != nullptr ? CandidateLayout::Build(*database)
-                                  : CandidateLayout()),
-      scanner_(database, &layout_) {}
+    : database_(database), scanner_(database) {}
+
+void SignatureTableEngine::SetScanLayout(bool tid_order_layout) {
+  scanner_ = SequentialScanner(database_);  // Drops its pointer first.
+  scan_layout_.reset();
+  if (tid_order_layout) {
+    scan_layout_.emplace(CandidateLayout::Build(*database_));
+    scanner_ = SequentialScanner(database_, &*scan_layout_);
+  }
+  scanner_.set_metrics(metrics_registry_);
+}
 
 Status SignatureTableEngine::OpenIndex(const std::string& path, Env* env) {
   StatusOr<SignatureTable> loaded = LoadSignatureTable(path, *database_, env);
@@ -29,14 +36,20 @@ Status SignatureTableEngine::OpenIndex(const std::string& path, Env* env) {
     }
     if (metrics_enabled_) metrics_.quarantined->Set(1.0);
   }
+  // Serving without a table: the fallback streams a TID-order layout, built
+  // once (the dropped table's layout went with its engine).
+  if (!table_.has_value() && !scan_layout_.has_value()) SetScanLayout(true);
   return loaded.status();
 }
 
 void SignatureTableEngine::AdoptTable(SignatureTable table) {
   engine_.reset();  // Points into the old table; drop it first.
+  SetScanLayout(false);
   table_.emplace(std::move(table));
   table_->set_metrics(metrics_registry_);
-  engine_.emplace(database_, &*table_, &layout_);
+  // No layout passed: the engine builds and owns the binding's one
+  // candidate layout, in the table's entry order.
+  engine_.emplace(database_, &*table_);
   {
     MutexLock lock(&state_mu_);
     quarantined_ = false;

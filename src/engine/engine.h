@@ -53,11 +53,15 @@ class SignatureTableEngine {
   /// describing the damage is returned *and* retained as
   /// quarantine_reason(). Other failures (kNotFound, kIoError,
   /// kInvalidArgument) do not quarantine: there is no artifact to degrade
-  /// around, so the caller must decide.
+  /// around, so the caller must decide. A loaded table is bound as by
+  /// AdoptTable; a failure that leaves no table builds the fallback's
+  /// TID-order candidate layout unless it already has one.
   Status OpenIndex(const std::string& path, Env* env = Env::Default());
 
   /// Adopts an already-built table (e.g. fresh from BuildIndex), clearing
-  /// any quarantine.
+  /// any quarantine. The binding's one candidate layout, in the table's
+  /// entry order, is built and owned by the branch-and-bound engine; the
+  /// fallback's TID-order layout, if any, is dropped.
   void AdoptTable(SignatureTable table);
 
   /// True when a healthy index is loaded and queries use branch-and-bound.
@@ -194,12 +198,18 @@ class SignatureTableEngine {
   void RecordQuery(const QueryStats& stats, bool is_range,
                    double elapsed_us) const;
 
+  /// Rebinds the fallback scanner: to a freshly built TID-order layout, or
+  /// (false) to none, dropping the old one.
+  void SetScanLayout(bool tid_order_layout);
+
   const TransactionDatabase* const database_;
-  /// Blocked candidate bitmap shared by the branch-and-bound engine and the
-  /// sequential fallback, built once at construction. The database must not
-  /// grow afterwards: binding a table (OpenIndex / AdoptTable) aborts unless
-  /// table, layout and database cover the same rows.
-  const CandidateLayout layout_;
+  /// The sequential fallback's candidate layout, in TID order: held only
+  /// while an open has left the engine without a table (empty before the
+  /// first binding, when the fallback scans through the probe path). While
+  /// a table is bound the branch-and-bound engine owns the one layout. The
+  /// database must not grow after a layout is built: binding a table aborts
+  /// unless table, layout and database cover the same rows.
+  std::optional<CandidateLayout> scan_layout_;
   SequentialScanner scanner_;
   /// table_/engine_ are written only by OpenIndex/AdoptTable, which the
   /// caller must not run concurrently with queries (the engine swaps the

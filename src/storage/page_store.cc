@@ -120,12 +120,16 @@ StatusOr<PageStore> PageStore::LoadSpillFile(const std::string& path,
 
 const Page& PageStore::Read(PageId page, IoStats* stats) const {
   MBI_CHECK(page < pages_.size());
-  if (stats != nullptr) {
-    ++stats->pages_read;
-    stats->bytes_read += page_size_bytes_;
-  }
-  if (pages_read_metric_ != nullptr) pages_read_metric_->Increment();
+  ChargeReads(1, stats);
   return pages_[page];
+}
+
+void PageStore::ChargeReads(uint64_t count, IoStats* stats) const {
+  if (stats != nullptr) {
+    stats->pages_read += count;
+    stats->bytes_read += count * page_size_bytes_;
+  }
+  if (pages_read_metric_ != nullptr) pages_read_metric_->Increment(count);
 }
 
 void PageStore::set_metrics(MetricsRegistry* registry) {

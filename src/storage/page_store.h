@@ -54,6 +54,12 @@ class PageStore {
   /// and to the mbi.pagestore.pages_read counter when metrics are wired.
   const Page& Read(PageId page, IoStats* stats) const;
 
+  /// Charges `count` page reads to `stats` (if non-null) and to
+  /// mbi.pagestore.pages_read exactly as `count` Read calls would, without
+  /// touching any page: the I/O of a read whose contents the caller already
+  /// holds in another form (SignatureTable::ChargeEntryRead).
+  void ChargeReads(uint64_t count, IoStats* stats) const;
+
   /// Enables physical-I/O counters (mbi.pagestore.*) in `registry`; nullptr
   /// disables. Reads and page openings after this call are counted; the
   /// handles survive copies of the store.

@@ -61,7 +61,7 @@ MBI_HOT void PackedTarget::FinishBatch(RowOf row_of, size_t count,
   }
 }
 
-MBI_HOT void PackedTarget::MatchAndHammingBatch(const TransactionId* ids,
+MBI_HOT void PackedTarget::MatchAndHammingBatch(const uint32_t* rows,
                                                 size_t count,
                                                 uint32_t* match_out,
                                                 uint32_t* hamming_out) const {
@@ -69,14 +69,13 @@ MBI_HOT void PackedTarget::MatchAndHammingBatch(const TransactionId* ids,
   const kernel::BlockedLayout& blocked = layout_->blocked();
   kernel::ActiveKernels().match_rows(target_row_.data(), blocked.rows(),
                                      blocked.stride_words(),
-                                     blocked.words_per_row(), ids, count,
+                                     blocked.words_per_row(), rows, count,
                                      match_out);
-  FinishBatch([ids](size_t i) { return size_t{ids[i]}; }, count, match_out,
+  FinishBatch([rows](size_t i) { return size_t{rows[i]}; }, count, match_out,
               hamming_out);
 }
 
-MBI_HOT void PackedTarget::MatchAndHammingRows(TransactionId first_row,
-                                               size_t count,
+MBI_HOT void PackedTarget::MatchAndHammingRows(size_t first_row, size_t count,
                                                uint32_t* match_out,
                                                uint32_t* hamming_out) const {
   MBI_CHECK(layout_ != nullptr);
@@ -86,7 +85,7 @@ MBI_HOT void PackedTarget::MatchAndHammingRows(TransactionId first_row,
                                      blocked.stride_words(),
                                      blocked.words_per_row(),
                                      /*ids=*/nullptr, count, match_out);
-  FinishBatch([first_row](size_t i) { return size_t{first_row} + i; }, count,
+  FinishBatch([first_row](size_t i) { return first_row + i; }, count,
               match_out, hamming_out);
 }
 

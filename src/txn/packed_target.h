@@ -86,15 +86,18 @@ class PackedTarget {
     *hamming = (target_size_ - x) + (candidate.size() - x);
   }
 
-  /// Gather-form batch: match/Hamming against layout rows `ids[0..count)`.
-  /// Every id must be < layout()->num_rows(). Requires has_layout().
-  MBI_HOT void MatchAndHammingBatch(const TransactionId* ids, size_t count,
+  /// Gather-form batch: match/Hamming against layout *rows*
+  /// `rows[0..count)`, each < layout()->num_rows(). Rows are transaction
+  /// ids only when the layout is in TID order
+  /// (CandidateLayout::in_tid_order). Requires has_layout().
+  MBI_HOT void MatchAndHammingBatch(const uint32_t* rows, size_t count,
                                     uint32_t* match_out,
                                     uint32_t* hamming_out) const;
 
-  /// Streaming-form batch: rows `first_row .. first_row+count`, in order.
-  /// Requires has_layout().
-  MBI_HOT void MatchAndHammingRows(TransactionId first_row, size_t count,
+  /// Streaming-form batch: rows `first_row .. first_row+count`, in order —
+  /// one signature-table entry's candidates when the layout is in the
+  /// table's entry order. Requires has_layout().
+  MBI_HOT void MatchAndHammingRows(size_t first_row, size_t count,
                                    uint32_t* match_out,
                                    uint32_t* hamming_out) const;
 

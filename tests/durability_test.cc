@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -543,7 +544,20 @@ void WriteLegacyPartition(const std::string& path,
   ASSERT_EQ(std::fclose(file), 0);
 }
 
-void WriteLegacyTable(const std::string& path, const SignatureTable& table) {
+/// A hand edit of a table's directory and bucket lists, applied before
+/// WriteLegacyTable writes them (the v1 layout has no checksums to redo).
+using TableTamper =
+    std::function<void(std::vector<SignatureTable::Entry>* entries,
+                       std::vector<std::vector<PageId>>* buckets)>;
+
+void WriteLegacyTable(const std::string& path, const SignatureTable& table,
+                      const TableTamper& tamper = nullptr) {
+  std::vector<SignatureTable::Entry> entries = table.entries();
+  std::vector<std::vector<PageId>> buckets;
+  for (uint32_t bucket = 0; bucket < table.store().num_buckets(); ++bucket) {
+    buckets.push_back(table.store().PagesOfBucket(bucket));
+  }
+  if (tamper) tamper(&entries, &buckets);
   FILE* file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
   const SignaturePartition& partition = table.partition();
@@ -563,16 +577,16 @@ void WriteLegacyTable(const std::string& path, const SignatureTable& table) {
   for (TransactionId id = 0; id < num_transactions; ++id) {
     ASSERT_TRUE(WriteU32(file, table.CoordinateOfTransaction(id)));
   }
-  ASSERT_TRUE(WriteU64(file, table.entries().size()));
-  for (const SignatureTable::Entry& entry : table.entries()) {
+  ASSERT_TRUE(WriteU64(file, entries.size()));
+  for (const SignatureTable::Entry& entry : entries) {
     ASSERT_TRUE(WriteU32(file, entry.coordinate) &&
                 WriteU32(file, entry.transaction_count) &&
                 WriteU32(file, entry.bucket));
   }
   const TransactionStore& store = table.store();
-  ASSERT_TRUE(WriteU64(file, store.num_buckets()));
-  for (uint32_t bucket = 0; bucket < store.num_buckets(); ++bucket) {
-    ASSERT_TRUE(WriteU32Vector(file, store.PagesOfBucket(bucket)));
+  ASSERT_TRUE(WriteU64(file, buckets.size()));
+  for (const std::vector<PageId>& pages : buckets) {
+    ASSERT_TRUE(WriteU32Vector(file, pages));
   }
   const PageStore& pages = store.page_store();
   ASSERT_TRUE(WriteU64(file, pages.size()));
@@ -638,6 +652,73 @@ TEST(LegacyFormatTest, ReadsSeedEraTableAndAnswersIdentically) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(LegacyFormatTest, InconsistentBucketListsAreQuarantined) {
+  // Edits that pass every per-field check but break the entry row order the
+  // engine lays its candidate rows out in (SignatureTable::EntryRowOrder):
+  // the loader must report kCorruption, not leave the engine to abort.
+  const uint64_t seed = FaultSeed();
+  QuestGeneratorConfig config;
+  config.universe_size = 200;
+  config.num_large_itemsets = 40;
+  config.seed = seed + 52;
+  QuestGenerator generator(config);
+  TransactionDatabase db = generator.GenerateDatabase(300);
+  SignatureTable table = MakeTable(db);
+  ASSERT_GE(table.entries().size(), 2u);
+
+  struct Case {
+    const char* name;
+    const char* message;
+    TableTamper tamper;
+  };
+  const Case cases[] = {
+      {"page listed twice in one bucket", "listed twice",
+       [](std::vector<SignatureTable::Entry>* entries,
+          std::vector<std::vector<PageId>>* buckets) {
+         std::vector<PageId>& pages = (*buckets)[(*entries)[0].bucket];
+         pages.push_back(pages.front());
+       }},
+      {"entry count differs from its bucket", "its bucket holds",
+       [](std::vector<SignatureTable::Entry>* entries,
+          std::vector<std::vector<PageId>>* buckets) {
+         // Moves a page to the next entry's bucket: every transaction is
+         // still listed once and the counts still sum to the total.
+         std::vector<PageId>& from = (*buckets)[(*entries)[0].bucket];
+         (*buckets)[(*entries)[1].bucket].push_back(from.back());
+         from.pop_back();
+       }},
+  };
+  SequentialScanner scanner(&db);
+  MatchRatioFamily family;
+  const Transaction target = generator.NextTransaction();
+  const std::vector<Neighbor> oracle = scanner.FindKNearest(target, family, 5);
+  for (const Case& c : cases) {
+    const std::string path = TempPath("tampered.mbst");
+    WriteLegacyTable(path, table, c.tamper);
+
+    auto loaded = LoadSignatureTable(path, db);
+    ASSERT_FALSE(loaded.ok()) << c.name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption) << c.name;
+    EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+        << c.name << ": " << loaded.status().ToString();
+
+    SignatureTableEngine engine(&db);
+    EXPECT_EQ(engine.OpenIndex(path).code(), StatusCode::kCorruption)
+        << c.name;
+    EXPECT_TRUE(engine.quarantined()) << c.name;
+    NearestNeighborResult result = engine.FindKNearest(target, family, 5);
+    EXPECT_EQ(result.stats.sequential_fallbacks, 1u) << c.name;
+    EXPECT_TRUE(result.guaranteed_exact) << c.name;
+    ASSERT_EQ(result.neighbors.size(), oracle.size()) << c.name;
+    for (size_t i = 0; i < oracle.size(); ++i) {
+      EXPECT_EQ(result.neighbors[i].id, oracle[i].id) << c.name;
+      EXPECT_EQ(result.neighbors[i].similarity, oracle[i].similarity)
+          << c.name;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 // --- mbi verify's engine ------------------------------------------------

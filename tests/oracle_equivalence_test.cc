@@ -13,10 +13,19 @@
 // multi-target aggregate — precisely the behaviours whose semantics the
 // overhaul promised to preserve. A deleted-row filter (SearchOptions::
 // deleted_rows) must match a scan of the database with those rows removed.
+//
+// The engine streams each scanned entry's rows from a layout in the table's
+// entry order, so the sweeps also run on the layouts a deployment binds: a
+// SignatureTableEngine opened from disk, and a dynamized-index component
+// after level merges and a delete-proportion rewrite. The scanner takes only
+// TID-order layouts; an engine quarantined after serving a table must
+// rebind one and match the probe scanner (full, filtered, range).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -25,9 +34,15 @@
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_context.h"
+#include "core/table_io.h"
+#include "dyn/dyn_io.h"
+#include "dyn/dynamic_index.h"
+#include "engine/engine.h"
 #include "gen/quest_generator.h"
 #include "txn/candidate_layout.h"
+#include "txn/database_io.h"
 #include "txn/deleted_rows.h"
+#include "util/metrics.h"
 
 namespace mbi {
 namespace {
@@ -126,6 +141,172 @@ constexpr OptionShape kShapes[] = {
     {"terminate_gap_trace", 0.3, 0.03, true},
 };
 
+/// Runs every option shape over `queries` on `engine` (a
+/// BranchAndBoundEngine or a SignatureTableEngine) and expects results
+/// bit-identical to `reference`'s frozen FindKNearestReference, with a
+/// fresh and with a reused context.
+template <typename Engine>
+void ExpectSweepMatchesReference(const Engine& engine,
+                                 const BranchAndBoundEngine& reference,
+                                 const std::vector<Transaction>& queries,
+                                 const char* family_name,
+                                 EntrySortOrder sort_order, size_t k,
+                                 const std::string& where) {
+  auto family = MakeSimilarityFamily(family_name);
+  QueryContext context;  // One reused context across the whole sweep.
+  for (const OptionShape& shape : kShapes) {
+    SearchOptions options;
+    options.sort_order = sort_order;
+    options.max_access_fraction = shape.max_access_fraction;
+    options.optimality_gap = shape.optimality_gap;
+    options.collect_trace = shape.collect_trace;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const Transaction& target = queries[q];
+      NearestNeighborResult expected =
+          reference.FindKNearestReference(target, *family, k, options);
+      NearestNeighborResult fresh =
+          engine.FindKNearest(target, *family, k, options);
+      NearestNeighborResult reused =
+          engine.FindKNearest(target, *family, k, options, &context);
+      std::string label = where + " " + family_name + "/" + shape.name +
+                          "/k=" + std::to_string(k) +
+                          "/q=" + std::to_string(q);
+      ExpectSameResult(fresh, expected, label + " (fresh ctx)");
+      ExpectSameResult(reused, expected, label + " (reused ctx)");
+    }
+  }
+}
+
+/// Deletes every fifth row plus each query's unfiltered top-k, so the
+/// filter removes the rows the search would otherwise return first, and
+/// expects `engine`'s filtered search — and filtered scans over a TID-order
+/// layout and over the probe path — to match a scan of the survivors.
+template <typename Engine>
+void ExpectFilteredMatchesScan(const Engine& engine,
+                               const TransactionDatabase& db,
+                               const std::vector<Transaction>& queries,
+                               const char* family_name,
+                               EntrySortOrder sort_order, size_t k,
+                               const std::string& where) {
+  auto family = MakeSimilarityFamily(family_name);
+  const std::string label = where + " " + family_name;
+  DeletedRows deleted(db.size());
+  for (TransactionId id = 0; id < db.size(); id += 5) {
+    deleted.Insert(id);
+  }
+  for (const Transaction& target : queries) {
+    for (const Neighbor& neighbor :
+         engine.FindKNearest(target, *family, k).neighbors) {
+      deleted.Insert(neighbor.id);
+    }
+  }
+  TransactionDatabase survivors(db.universe_size());
+  std::vector<TransactionId> original_id;
+  for (TransactionId id = 0; id < db.size(); ++id) {
+    if (deleted.contains(id)) continue;
+    survivors.Add(db.Get(id));
+    original_id.push_back(id);
+  }
+  const CandidateLayout layout = CandidateLayout::Build(db);
+  const SequentialScanner oracle(&survivors);
+  const SequentialScanner filtered_scan(&db, &layout);
+  const SequentialScanner filtered_probe(&db);
+
+  SearchOptions options;
+  options.sort_order = sort_order;
+  options.deleted_rows = &deleted;
+  QueryContext context;
+  for (const Transaction& target : queries) {
+    const std::vector<Neighbor> expected =
+        oracle.FindKNearest(target, *family, k);
+    NearestNeighborResult result =
+        engine.FindKNearest(target, *family, k, options, &context);
+    NearestNeighborResult scanned;
+    filtered_scan.FindKNearest(target, *family, k, QueryBudget{}, &scanned,
+                               &deleted);
+    NearestNeighborResult probed;
+    filtered_probe.FindKNearest(target, *family, k, QueryBudget{}, &probed,
+                                &deleted);
+    EXPECT_TRUE(result.guaranteed_exact) << label;
+    EXPECT_EQ(result.stats.database_size, survivors.size()) << label;
+    EXPECT_LE(result.stats.transactions_evaluated, survivors.size()) << label;
+    EXPECT_EQ(scanned.stats.transactions_evaluated, survivors.size()) << label;
+    EXPECT_EQ(probed.stats.transactions_evaluated, survivors.size()) << label;
+    for (const NearestNeighborResult* got : {&result, &scanned, &probed}) {
+      ASSERT_EQ(got->neighbors.size(), expected.size()) << label;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_FALSE(deleted.contains(got->neighbors[i].id)) << label;
+        bool both_inf = std::isinf(got->neighbors[i].similarity) &&
+                        std::isinf(expected[i].similarity);
+        if (!both_inf) {
+          EXPECT_EQ(got->neighbors[i].similarity, expected[i].similarity)
+              << label << " position " << i;
+        }
+      }
+    }
+    // The scans resolve ties globally by ascending id, as the oracle does
+    // over the order-preserving survivor numbering.
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(scanned.neighbors[i].id, original_id[expected[i].id]) << label;
+      EXPECT_EQ(probed.neighbors[i].id, original_id[expected[i].id]) << label;
+    }
+  }
+}
+
+/// The rows and table of a dynamized-index component that went through
+/// level merges and then a delete-proportion rewrite, persisted by DynIo
+/// and bound the way DynComponent::Open binds it: a SignatureTableEngine
+/// over the rows, opened from the table file.
+struct DynComponentFixture {
+  std::unique_ptr<TransactionDatabase> rows;
+  std::unique_ptr<SignatureTableEngine> engine;
+  std::vector<Transaction> queries;
+};
+
+void MakeDynComponent(DynComponentFixture* out) {
+  QuestGeneratorConfig config;
+  config.universe_size = 300;
+  config.num_large_itemsets = 70;
+  config.avg_itemset_size = 5.0;
+  config.avg_transaction_size = 9.0;
+  config.seed = 5150;
+  QuestGenerator generator(config);
+  MetricsRegistry registry;
+  DynamicIndexOptions options;
+  options.buffer_capacity = 128;
+  options.level_fanout = 2;
+  options.build.clustering.target_cardinality = 8;
+  options.metrics = &registry;
+  DynamicIndex index(config.universe_size, options);
+  for (int i = 0; i < 1024; ++i) {
+    ASSERT_TRUE(index.Insert(generator.NextTransaction()).ok());
+  }
+  // 1024 rows / capacity 128 = 8 spills; fanout 2 cascades them into one
+  // run. Deleting more than a quarter of it claims its rewrite, and the
+  // deletes after that land on the rewritten component.
+  ASSERT_EQ(index.num_components(), 1u);
+  ASSERT_EQ(index.buffered_rows(), 0u);
+  ASSERT_GE(registry.FindCounter("mbi.dyn.merges")->value(), 1u);
+  for (TransactionId gid = 0; gid < 300; ++gid) {
+    ASSERT_TRUE(index.Delete(gid).ok());
+  }
+  ASSERT_EQ(registry.FindCounter("mbi.dyn.rewrites")->value(), 1u);
+  ASSERT_EQ(index.num_components(), 1u);
+
+  const std::string prefix = ::testing::TempDir() + "/oracle_dyn_component";
+  ASSERT_TRUE(DynIo::Save(index, prefix).ok());
+  StatusOr<TransactionDatabase> rows =
+      LoadDatabase(DynIo::RowsPath(prefix, 0));
+  ASSERT_TRUE(rows.ok());
+  out->rows = std::make_unique<TransactionDatabase>(std::move(rows).value());
+  // The 257th delete (more than a quarter of 1024) claimed the rewrite,
+  // which purged those 257 rows; the other 43 are tombstones on the result.
+  ASSERT_EQ(out->rows->size(), 1024u - 257u);
+  out->engine = std::make_unique<SignatureTableEngine>(out->rows.get());
+  ASSERT_TRUE(out->engine->OpenIndex(DynIo::TablePath(prefix, 0)).ok());
+  out->queries = generator.GenerateQueries(10);
+}
+
 class OracleEquivalenceTest
     : public ::testing::TestWithParam<
           std::tuple<const char*, EntrySortOrder, size_t>> {};
@@ -134,30 +315,39 @@ TEST_P(OracleEquivalenceTest, OverhaulMatchesReferenceBitExactly) {
   auto [family_name, sort_order, k] = GetParam();
   Fixture fixture = MakeFixture(2024, 9);
   BranchAndBoundEngine engine(&fixture.db, &fixture.table);
-  auto family = MakeSimilarityFamily(family_name);
+  ExpectSweepMatchesReference(engine, engine, fixture.queries, family_name,
+                              sort_order, k, "built");
+}
 
-  QueryContext context;  // One reused context across the whole sweep.
-  for (const OptionShape& shape : kShapes) {
-    SearchOptions options;
-    options.sort_order = sort_order;
-    options.max_access_fraction = shape.max_access_fraction;
-    options.optimality_gap = shape.optimality_gap;
-    options.collect_trace = shape.collect_trace;
-    for (size_t q = 0; q < fixture.queries.size(); ++q) {
-      const Transaction& target = fixture.queries[q];
-      NearestNeighborResult reference =
-          engine.FindKNearestReference(target, *family, k, options);
-      NearestNeighborResult fresh =
-          engine.FindKNearest(target, *family, k, options);
-      NearestNeighborResult reused =
-          engine.FindKNearest(target, *family, k, options, &context);
-      std::string label = std::string(family_name) + "/" + shape.name +
-                          "/k=" + std::to_string(k) +
-                          "/q=" + std::to_string(q);
-      ExpectSameResult(fresh, reference, label + " (fresh ctx)");
-      ExpectSameResult(reused, reference, label + " (reused ctx)");
-    }
-  }
+TEST_P(OracleEquivalenceTest, EngineOpenedFromDiskMatchesReference) {
+  auto [family_name, sort_order, k] = GetParam();
+  Fixture fixture = MakeFixture(2024, 9);
+  const std::string path = ::testing::TempDir() + "/oracle_opened.mbst";
+  ASSERT_TRUE(SaveSignatureTable(fixture.table, path).ok());
+  SignatureTableEngine opened(&fixture.db);
+  ASSERT_TRUE(opened.OpenIndex(path).ok());
+  ASSERT_TRUE(opened.healthy());
+  const BranchAndBoundEngine reference(&fixture.db, &fixture.table);
+  ExpectSweepMatchesReference(opened, reference, fixture.queries, family_name,
+                              sort_order, k, "opened");
+  ExpectFilteredMatchesScan(opened, fixture.db, fixture.queries, family_name,
+                            sort_order, k, "opened");
+  EXPECT_EQ(opened.fallback_queries(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST_P(OracleEquivalenceTest, DynComponentAfterRewriteMatchesReference) {
+  auto [family_name, sort_order, k] = GetParam();
+  DynComponentFixture fixture;
+  ASSERT_NO_FATAL_FAILURE(MakeDynComponent(&fixture));
+  ASSERT_TRUE(fixture.engine->healthy());
+  const BranchAndBoundEngine reference(fixture.rows.get(),
+                                       fixture.engine->table());
+  ExpectSweepMatchesReference(*fixture.engine, reference, fixture.queries,
+                              family_name, sort_order, k, "dyn component");
+  ExpectFilteredMatchesScan(*fixture.engine, *fixture.rows, fixture.queries,
+                            family_name, sort_order, k, "dyn component");
+  EXPECT_EQ(fixture.engine->fallback_queries(), 0u);
 }
 
 TEST_P(OracleEquivalenceTest, ExactSearchMatchesSequentialScan) {
@@ -193,72 +383,12 @@ TEST_P(OracleEquivalenceTest, ExactSearchMatchesSequentialScan) {
 TEST_P(OracleEquivalenceTest, FilteredSearchMatchesScanWithoutDeletedRows) {
   auto [family_name, sort_order, k] = GetParam();
   Fixture fixture = MakeFixture(4711, 8);
+  // A TID-order layout is not in the table's entry order, so the engine
+  // replaces it with a private entry-ordered one.
   const CandidateLayout layout = CandidateLayout::Build(fixture.db);
   BranchAndBoundEngine engine(&fixture.db, &fixture.table, &layout);
-  auto family = MakeSimilarityFamily(family_name);
-
-  // Delete every fifth row plus each query's unfiltered top-k, so the
-  // filter removes the rows the search would otherwise return first.
-  DeletedRows deleted(fixture.db.size());
-  for (TransactionId id = 0; id < fixture.db.size(); id += 5) {
-    deleted.Insert(id);
-  }
-  for (const Transaction& target : fixture.queries) {
-    for (const Neighbor& neighbor :
-         engine.FindKNearest(target, *family, k).neighbors) {
-      deleted.Insert(neighbor.id);
-    }
-  }
-  TransactionDatabase survivors(fixture.db.universe_size());
-  std::vector<TransactionId> original_id;
-  for (TransactionId id = 0; id < fixture.db.size(); ++id) {
-    if (deleted.contains(id)) continue;
-    survivors.Add(fixture.db.Get(id));
-    original_id.push_back(id);
-  }
-  const SequentialScanner oracle(&survivors);
-  const SequentialScanner filtered_scan(&fixture.db, &layout);
-  const SequentialScanner filtered_probe(&fixture.db);
-
-  SearchOptions options;
-  options.sort_order = sort_order;
-  options.deleted_rows = &deleted;
-  QueryContext context;
-  for (const Transaction& target : fixture.queries) {
-    const std::vector<Neighbor> expected =
-        oracle.FindKNearest(target, *family, k);
-    NearestNeighborResult result =
-        engine.FindKNearest(target, *family, k, options, &context);
-    NearestNeighborResult scanned;
-    filtered_scan.FindKNearest(target, *family, k, QueryBudget{}, &scanned,
-                               &deleted);
-    NearestNeighborResult probed;
-    filtered_probe.FindKNearest(target, *family, k, QueryBudget{}, &probed,
-                                &deleted);
-    EXPECT_TRUE(result.guaranteed_exact) << family_name;
-    EXPECT_EQ(result.stats.database_size, survivors.size());
-    EXPECT_LE(result.stats.transactions_evaluated, survivors.size());
-    EXPECT_EQ(scanned.stats.transactions_evaluated, survivors.size());
-    EXPECT_EQ(probed.stats.transactions_evaluated, survivors.size());
-    for (const NearestNeighborResult* got : {&result, &scanned, &probed}) {
-      ASSERT_EQ(got->neighbors.size(), expected.size()) << family_name;
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_FALSE(deleted.contains(got->neighbors[i].id)) << family_name;
-        bool both_inf = std::isinf(got->neighbors[i].similarity) &&
-                        std::isinf(expected[i].similarity);
-        if (!both_inf) {
-          EXPECT_EQ(got->neighbors[i].similarity, expected[i].similarity)
-              << family_name << " position " << i;
-        }
-      }
-    }
-    // The scans resolve ties globally by ascending id, as the oracle does
-    // over the order-preserving survivor numbering.
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(scanned.neighbors[i].id, original_id[expected[i].id]);
-      EXPECT_EQ(probed.neighbors[i].id, original_id[expected[i].id]);
-    }
-  }
+  ExpectFilteredMatchesScan(engine, fixture.db, fixture.queries, family_name,
+                            sort_order, k, "built");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -268,6 +398,120 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(EntrySortOrder::kOptimisticBound,
                           EntrySortOrder::kSupercoordinateSimilarity),
         ::testing::Values<size_t>(1, 7)));
+
+// --- The quarantine fallback after an entry-ordered binding. ---
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& a,
+                         const std::vector<Neighbor>& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << label << " position " << i;
+    EXPECT_EQ(a[i].similarity, b[i].similarity) << label << " position " << i;
+  }
+}
+
+void ExpectSameIo(const IoStats& a, const IoStats& b,
+                  const std::string& label) {
+  EXPECT_EQ(a.pages_read, b.pages_read) << label;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << label;
+  EXPECT_EQ(a.transactions_fetched, b.transactions_fetched) << label;
+}
+
+TEST(OracleEquivalenceScanTest, ScannerRejectsEntryOrderedLayout) {
+  // Scanner ids are layout rows, so only a TID-order layout may be bound.
+  Fixture fixture = MakeFixture(808, 8, 1, 300, 1);
+  const CandidateLayout clustered =
+      CandidateLayout::Build(fixture.db, fixture.table.EntryRowOrder());
+  ASSERT_FALSE(clustered.in_tid_order());
+  EXPECT_DEATH(SequentialScanner(&fixture.db, &clustered), "TID order");
+}
+
+TEST(OracleEquivalenceScanTest, QuarantinedEngineFallbackMatchesProbe) {
+  // An engine that served a table (through its entry-ordered layout) and is
+  // then quarantined by a corrupt open serves from the sequential fallback,
+  // which must rebind a TID-order layout and match the probe scanner:
+  // full, budgeted, filtered, range and budgeted range.
+  Fixture fixture = MakeFixture(808, 8);
+  SignatureTableEngine engine(&fixture.db);
+  engine.AdoptTable(std::move(fixture.table));
+  ASSERT_TRUE(engine.healthy());
+  const std::string path = ::testing::TempDir() + "/oracle_garbage.mbst";
+  FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_GE(std::fputs("not a signature table", file), 0);
+  ASSERT_EQ(std::fclose(file), 0);
+  ASSERT_EQ(engine.OpenIndex(path).code(), StatusCode::kCorruption);
+  ASSERT_TRUE(engine.quarantined());
+  ASSERT_FALSE(engine.healthy());
+
+  const SequentialScanner probe(&fixture.db);
+  DeletedRows deleted(fixture.db.size());
+  for (TransactionId id = 0; id < fixture.db.size(); id += 3) {
+    deleted.Insert(id);
+  }
+  QueryBudget capped;
+  capped.max_entries = 600;  // Cuts the scan mid-way, between chunks.
+  const DeletedRows* const filters[] = {nullptr, &deleted};
+  uint64_t queries = 0;
+
+  for (const char* family_name : {"hamming", "match_ratio", "cosine"}) {
+    auto family = MakeSimilarityFamily(family_name);
+    for (size_t q = 0; q < fixture.queries.size(); ++q) {
+      const Transaction& target = fixture.queries[q];
+      const std::string label =
+          std::string(family_name) + "/q=" + std::to_string(q);
+      for (size_t k : {size_t{1}, size_t{7}}) {
+        for (const bool budgeted : {false, true}) {
+          const QueryBudget budget = budgeted ? capped : QueryBudget{};
+          for (const DeletedRows* filter : filters) {
+            SearchOptions options;
+            options.budget = budget;
+            options.deleted_rows = filter;
+            const NearestNeighborResult a =
+                engine.FindKNearest(target, *family, k, options);
+            ++queries;
+            NearestNeighborResult b;
+            probe.FindKNearest(target, *family, k, budget, &b, filter);
+            EXPECT_EQ(a.stats.sequential_fallbacks, 1u) << label;
+            ExpectSameResult(a, b,
+                             label + (filter ? " filtered" : "") +
+                                 (budgeted ? " budgeted" : "") +
+                                 " k=" + std::to_string(k));
+          }
+        }
+      }
+
+      // Range: a threshold with a handful of matches.
+      const std::vector<Neighbor> top = probe.FindKNearest(target, *family, 7);
+      const double threshold = top.back().similarity;
+      for (const bool budgeted : {false, true}) {
+        const QueryBudget budget = budgeted ? capped : QueryBudget{};
+        SearchOptions options;
+        options.budget = budget;
+        const RangeQueryResult a =
+            engine.FindInRange(target, *family, threshold, options);
+        ++queries;
+        RangeQueryResult b;
+        probe.FindInRange(target, *family, threshold, budget, &b);
+        ExpectSameNeighbors(a.matches, b.matches, label + " range");
+        if (!budgeted) {
+          EXPECT_GE(a.matches.size(), 1u) << label;
+        }
+        EXPECT_EQ(a.guaranteed_complete, b.guaranteed_complete) << label;
+        EXPECT_EQ(a.stats.entries_scanned, b.stats.entries_scanned) << label;
+        EXPECT_EQ(a.stats.transactions_evaluated,
+                  b.stats.transactions_evaluated)
+            << label;
+        EXPECT_EQ(a.stats.certificate_bound, b.stats.certificate_bound)
+            << label;
+        ExpectSameIo(a.stats.io, b.stats.io, label + " range");
+      }
+    }
+  }
+  EXPECT_EQ(engine.fallback_queries(), queries);
+  std::remove(path.c_str());
+}
 
 // --- Multi-target aggregate. ---
 

@@ -7,10 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "gen/quest_generator.h"
+#include "util/metrics.h"
 
 namespace mbi {
 namespace {
@@ -71,6 +73,55 @@ TEST(TableIoTest, RoundTripPreservesStructure) {
     EXPECT_EQ(loaded->partition().SignatureOf(item),
               fixture.table.partition().SignatureOf(item));
   }
+  std::remove(path.c_str());
+}
+
+/// The stream path charges each scanned entry from page metadata
+/// (ChargeEntryRead) instead of decoding it (FetchEntryTransactions); both
+/// must charge the same IoStats and physical page reads, and the entry's
+/// slice of the entry row order must be exactly the ids it decodes.
+void ExpectChargeOnlyReadMatchesFetch(SignatureTable* table,
+                                      const std::string& label) {
+  MetricsRegistry registry;
+  table->set_metrics(&registry);
+  const Counter* pages_read = registry.FindCounter("mbi.pagestore.pages_read");
+  ASSERT_NE(pages_read, nullptr);
+  const std::vector<TransactionId> order = table->EntryRowOrder();
+  const std::vector<uint32_t>& row_begin = table->entry_row_begin();
+  ASSERT_EQ(row_begin.size(), table->entries().size() + 1) << label;
+  EXPECT_EQ(row_begin.back(), table->num_indexed_transactions()) << label;
+  for (size_t e = 0; e < table->entries().size(); ++e) {
+    IoStats fetched, charged;
+    const uint64_t before = pages_read->value();
+    const std::vector<TransactionId> ids =
+        table->FetchEntryTransactions(e, &fetched);
+    const uint64_t between = pages_read->value();
+    table->ChargeEntryRead(e, &charged);
+    const uint64_t after = pages_read->value();
+    const std::string where = label + " entry " + std::to_string(e);
+    EXPECT_EQ(charged.pages_read, fetched.pages_read) << where;
+    EXPECT_EQ(charged.pages_cached, fetched.pages_cached) << where;
+    EXPECT_EQ(charged.pages_written, fetched.pages_written) << where;
+    EXPECT_EQ(charged.transactions_fetched, fetched.transactions_fetched)
+        << where;
+    EXPECT_EQ(charged.bytes_read, fetched.bytes_read) << where;
+    EXPECT_EQ(after - between, between - before) << where;
+    EXPECT_EQ(std::vector<TransactionId>(order.begin() + row_begin[e],
+                                         order.begin() + row_begin[e + 1]),
+              ids)
+        << where;
+  }
+  table->set_metrics(nullptr);
+}
+
+TEST(TableIoTest, ChargeOnlyEntryReadMatchesFetchOnBuiltAndLoadedTables) {
+  Fixture fixture = MakeFixture(433);
+  ExpectChargeOnlyReadMatchesFetch(&fixture.table, "built");
+  std::string path = TempPath("table_charge.mbst");
+  ASSERT_TRUE(SaveSignatureTable(fixture.table, path).ok());
+  auto loaded = LoadSignatureTable(path, fixture.db);
+  ASSERT_TRUE(loaded.ok());
+  ExpectChargeOnlyReadMatchesFetch(&*loaded, "loaded");
   std::remove(path.c_str());
 }
 
