@@ -189,47 +189,30 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   // FindOptimisticBound for every occupied entry: the average over targets
   // of f_t(M_opt, D_opt) (paper §4.3 for the multi-target case; with a single
   // target this is exactly Figure 3's FindOptimisticBound). The M/D bounds
-  // for a chunk come from the SIMD bounds kernel over the table's dense
-  // coordinate array, one target at a time (t-major scratch, so chunks touch
-  // disjoint slices). Chunks write disjoint slots of the output array, so
-  // the parallel fan-out is deterministic: identical bounds for any thread
-  // count — and the per-candidate sum accumulates targets in ascending t
-  // exactly as before, keeping the doubles bit-identical.
+  // come from the SIMD bounds kernel over the table's dense coordinate
+  // array, one target at a time (t-major scratch), and the per-entry sum
+  // accumulates targets in ascending t, keeping the doubles bit-identical to
+  // the reference path.
   const auto& entries = table_->entries();
   const Supercoordinate* coords = table_->coordinates().data();
   const size_t num_entries = entries.size();
   ctx.optimistic_.resize(num_entries);
   ctx.bound_match_.resize(num_targets * num_entries);
   ctx.bound_dist_.resize(num_targets * num_entries);
-  auto compute_bounds = [&](size_t begin, size_t end) {
+  for (size_t t = 0; t < num_targets; ++t) {
+    const size_t base = t * num_entries;
+    ctx.calculators_[t].ComputeBatch(coords, num_entries,
+                                     ctx.bound_match_.data() + base,
+                                     ctx.bound_dist_.data() + base);
+  }
+  for (size_t i = 0; i < num_entries; ++i) {
+    double sum = 0.0;
     for (size_t t = 0; t < num_targets; ++t) {
       const size_t base = t * num_entries;
-      ctx.calculators_[t].ComputeBatch(coords + begin, end - begin,
-                                       ctx.bound_match_.data() + base + begin,
-                                       ctx.bound_dist_.data() + base + begin);
+      sum += ctx.functions_[t]->Evaluate(ctx.bound_match_[base + i],
+                                         ctx.bound_dist_[base + i]);
     }
-    for (size_t i = begin; i < end; ++i) {
-      double sum = 0.0;
-      for (size_t t = 0; t < num_targets; ++t) {
-        const size_t base = t * num_entries;
-        sum += ctx.functions_[t]->Evaluate(ctx.bound_match_[base + i],
-                                           ctx.bound_dist_[base + i]);
-      }
-      ctx.optimistic_[i] = sum / target_count;
-    }
-  };
-  if (ctx.bound_pool_ != nullptr &&
-      num_entries >= ctx.parallel_bound_min_entries_) {
-    const size_t chunk = std::max<size_t>(1, ctx.parallel_bound_chunk_);
-    const size_t num_chunks = (num_entries + chunk - 1) / chunk;
-    ctx.bound_pool_->ParallelFor(
-        num_chunks,
-        [&](size_t c) {
-          compute_bounds(c * chunk, std::min(num_entries, (c + 1) * chunk));
-        },
-        /*chunk=*/1);
-  } else {
-    compute_bounds(0, num_entries);
+    ctx.optimistic_[i] = sum / target_count;
   }
 
   // Visit-order keys (paper §4): either the optimistic bounds themselves or

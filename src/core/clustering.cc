@@ -13,7 +13,7 @@ namespace {
 /// Union-find over items tracking per-component support mass.
 class DisjointSets {
  public:
-  explicit DisjointSets(const SupportProvider& supports)
+  explicit DisjointSets(const SupportCounter& supports)
       : parent_(supports.universe_size()),
         rank_(supports.universe_size(), 0),
         mass_(supports.universe_size()) {
@@ -106,7 +106,7 @@ void FillEmptySignatures(uint32_t cardinality,
 }  // namespace
 
 SignaturePartition BuildSignaturesSingleLinkage(
-    const SupportProvider& supports, const ClusteringConfig& config) {
+    const SupportCounter& supports, const ClusteringConfig& config) {
   const uint32_t k = config.target_cardinality;
   MBI_CHECK(k >= 1 && k <= SignaturePartition::kMaxCardinality);
   const uint32_t n = supports.universe_size();
@@ -122,11 +122,11 @@ SignaturePartition BuildSignaturesSingleLinkage(
   // inverse-support distance) — the greedy MST order of single linkage.
   const uint64_t min_count = static_cast<uint64_t>(
       config.min_pair_support * static_cast<double>(supports.num_transactions()));
-  std::vector<SupportProvider::PairEntry> edges =
+  std::vector<SupportCounter::PairEntry> edges =
       supports.PairsWithMinCount(std::max<uint64_t>(1, min_count));
   std::sort(edges.begin(), edges.end(),
-            [](const SupportProvider::PairEntry& a,
-               const SupportProvider::PairEntry& b) {
+            [](const SupportCounter::PairEntry& a,
+               const SupportCounter::PairEntry& b) {
               if (a.count != b.count) return a.count > b.count;
               if (a.a != b.a) return a.a < b.a;  // Deterministic tie-break.
               return a.b < b.b;
@@ -193,8 +193,8 @@ SignaturePartition BuildSignaturesSingleLinkage(
   return SignaturePartition(k, std::move(signature_of_item));
 }
 
-SignaturePartition BuildSignaturesBalanced(const SupportProvider& supports,
-                                           uint32_t target_cardinality) {
+SignaturePartition BuildSignaturesBalanced(const SupportCounter& supports,
+                                          uint32_t target_cardinality) {
   MBI_CHECK(target_cardinality >= 1 &&
             target_cardinality <= SignaturePartition::kMaxCardinality);
   const uint32_t n = supports.universe_size();

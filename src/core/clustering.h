@@ -42,8 +42,8 @@ struct ClusteringConfig {
 ///
 /// The result has exactly `target_cardinality` signatures whenever the
 /// universe has at least that many items (checked).
-SignaturePartition BuildSignaturesSingleLinkage(const SupportProvider& supports,
-                                                const ClusteringConfig& config);
+SignaturePartition BuildSignaturesSingleLinkage(const SupportCounter& supports,
+                                               const ClusteringConfig& config);
 
 /// Ablation baseline: ignores correlations entirely and distributes items
 /// over K signatures balancing total support mass (greedy: heaviest item
@@ -51,8 +51,8 @@ SignaturePartition BuildSignaturesSingleLinkage(const SupportProvider& supports,
 /// the correlation-aware construction contributes to pruning performance
 /// (paper §3.1 motivates correlated signatures; this partitioner is the
 /// control).
-SignaturePartition BuildSignaturesBalanced(const SupportProvider& supports,
-                                           uint32_t target_cardinality);
+SignaturePartition BuildSignaturesBalanced(const SupportCounter& supports,
+                                          uint32_t target_cardinality);
 
 }  // namespace mbi
 

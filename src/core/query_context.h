@@ -10,7 +10,6 @@
 #include "core/similarity.h"
 #include "txn/packed_target.h"
 #include "txn/transaction.h"
-#include "util/thread_pool.h"
 
 namespace mbi {
 
@@ -44,32 +43,6 @@ class QueryContext {
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
-  /// Optional caller-owned pool for parallel per-entry bound computation on
-  /// large directories (deterministic chunking: identical bounds regardless
-  /// of thread count). The pool must not be the pool executing the query
-  /// itself — a worker waiting on its own pool deadlocks — so batch mode
-  /// leaves this unset on its per-shard contexts.
-  void set_bound_pool(ThreadPool* pool) { bound_pool_ = pool; }
-  ThreadPool* bound_pool() const { return bound_pool_; }
-
-  /// Directory size at which bound computation fans out to bound_pool();
-  /// below it the fork/join overhead beats the O(entries · K) loop.
-  /// Tunable mostly so tests can force the parallel path on small tables.
-  void set_parallel_bound_min_entries(size_t n) {
-    parallel_bound_min_entries_ = n;
-  }
-  size_t parallel_bound_min_entries() const {
-    return parallel_bound_min_entries_;
-  }
-
-  /// Entries per chunk when bounds are computed in parallel. Chunks map to
-  /// disjoint output slots, so the values are deterministic by construction.
-  void set_parallel_bound_chunk(size_t n) { parallel_bound_chunk_ = n; }
-  size_t parallel_bound_chunk() const { return parallel_bound_chunk_; }
-
-  static constexpr size_t kDefaultParallelBoundMinEntries = 4096;
-  static constexpr size_t kDefaultParallelBoundChunk = 1024;
-
   /// Session-wide budget default: merged tightest-wins with
   /// SearchOptions::budget on every query through this context. The
   /// admission controller uses this to tighten deadlines on queued batches
@@ -91,8 +64,7 @@ class QueryContext {
   std::vector<double> optimistic_;  // Optimistic bound per entry index.
   std::vector<double> order_keys_;  // Sort keys for the alternative order.
   // SIMD bounds-kernel output, t-major: slot t * num_entries + i holds
-  // target t's M_opt / D_opt for entry i. Parallel bound chunks write
-  // disjoint column ranges of every row, so no synchronization is needed.
+  // target t's M_opt / D_opt for entry i.
   std::vector<int32_t> bound_match_;
   std::vector<int32_t> bound_dist_;
 
@@ -104,9 +76,6 @@ class QueryContext {
   std::vector<double> score_scratch_;
   std::vector<Neighbor> knn_heap_;
 
-  ThreadPool* bound_pool_ = nullptr;
-  size_t parallel_bound_min_entries_ = kDefaultParallelBoundMinEntries;
-  size_t parallel_bound_chunk_ = kDefaultParallelBoundChunk;
   QueryBudget budget_;
 };
 

@@ -72,7 +72,7 @@ double SupportCounter::PairSupport(ItemId a, ItemId b) const {
          static_cast<double>(num_transactions_);
 }
 
-std::vector<SupportProvider::PairEntry> SupportCounter::PairsWithMinCount(
+std::vector<SupportCounter::PairEntry> SupportCounter::PairsWithMinCount(
     uint64_t min_count) const {
   std::vector<PairEntry> result;
   if (use_dense_pairs_) {

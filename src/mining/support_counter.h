@@ -10,14 +10,16 @@
 
 namespace mbi {
 
-/// Interface over item/pair support statistics.
+/// Exact support counting: all single items and all 2-itemsets in one scan
+/// of a transaction database.
 ///
 /// Signature construction (paper §3.1) needs exactly these statistics: the
 /// item graph's edge weights are the inverse supports of the item pairs, and
-/// the critical-mass criterion sums item supports. Two implementations are
-/// provided: the exact `SupportCounter` and the memory-bounded `PcyCounter`
-/// (hash-filtered, for large universes).
-class SupportProvider {
+/// the critical-mass criterion sums item supports.
+///
+/// Pair counts are kept in a dense triangular array when the universe is
+/// small enough, falling back to a hash map for large universes.
+class SupportCounter {
  public:
   /// A 2-itemset with its absolute support count, a < b.
   struct PairEntry {
@@ -26,36 +28,14 @@ class SupportProvider {
     uint64_t count;
   };
 
-  virtual ~SupportProvider() = default;
-
-  /// Number of transactions containing `item`.
-  virtual uint64_t ItemCount(ItemId item) const = 0;
-
-  /// Support of `item` as a fraction of the database size in [0, 1].
-  virtual double ItemSupport(ItemId item) const = 0;
-
-  /// All pairs with count >= `min_count` (and > 0), as (a, b, count), a < b.
-  /// `min_count` must be at least the implementation's counting floor
-  /// (1 for the exact counter; the construction-time threshold for PCY).
-  virtual std::vector<PairEntry> PairsWithMinCount(
-      uint64_t min_count) const = 0;
-
-  virtual uint64_t num_transactions() const = 0;
-  virtual uint32_t universe_size() const = 0;
-};
-
-/// Exact support counting: all single items and all 2-itemsets in one scan
-/// of a transaction database.
-///
-/// Pair counts are kept in a dense triangular array when the universe is
-/// small enough, falling back to a hash map for large universes.
-class SupportCounter final : public SupportProvider {
- public:
   /// Scans `database` and materializes the counts.
   explicit SupportCounter(const TransactionDatabase& database);
 
-  uint64_t ItemCount(ItemId item) const override;
-  double ItemSupport(ItemId item) const override;
+  /// Number of transactions containing `item`.
+  uint64_t ItemCount(ItemId item) const;
+
+  /// Support of `item` as a fraction of the database size in [0, 1].
+  double ItemSupport(ItemId item) const;
 
   /// Number of transactions containing both items (order irrelevant).
   uint64_t PairCount(ItemId a, ItemId b) const;
@@ -63,10 +43,11 @@ class SupportCounter final : public SupportProvider {
   /// Support of the pair as a fraction of the database size.
   double PairSupport(ItemId a, ItemId b) const;
 
-  std::vector<PairEntry> PairsWithMinCount(uint64_t min_count) const override;
+  /// All pairs with count >= `min_count` (and > 0), as (a, b, count), a < b.
+  std::vector<PairEntry> PairsWithMinCount(uint64_t min_count) const;
 
-  uint64_t num_transactions() const override { return num_transactions_; }
-  uint32_t universe_size() const override { return universe_size_; }
+  uint64_t num_transactions() const { return num_transactions_; }
+  uint32_t universe_size() const { return universe_size_; }
 
  private:
   /// Index into the triangular array for a < b.

@@ -16,7 +16,8 @@ constexpr uint64_t kMaxReasonablePages = 1ULL << 33;
 
 PageStore::PageStore(uint32_t page_size_bytes)
     : page_size_bytes_(page_size_bytes) {
-  MBI_CHECK_MSG(page_size_bytes >= 64, "page size too small to be useful");
+  MBI_CHECK_MSG(page_size_bytes >= kMinPageSizeBytes,
+                "page size too small to be useful");
 }
 
 uint32_t PageStore::SerializedSize(const Transaction& transaction) {
@@ -91,7 +92,7 @@ StatusOr<PageStore> PageStore::LoadSpillFile(const std::string& path,
   MBI_RETURN_IF_ERROR(meta_parser.ReadU32(&page_size));
   MBI_RETURN_IF_ERROR(meta_parser.ReadU64(&num_pages));
   MBI_RETURN_IF_ERROR(meta_parser.ExpectConsumed());
-  if (page_size < 64) {
+  if (page_size < kMinPageSizeBytes) {
     return Status::Corruption(path + ": page size below the 64-byte minimum");
   }
   if (num_pages > kMaxReasonablePages) {

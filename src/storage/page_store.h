@@ -35,8 +35,11 @@ struct Page {
 /// plus one 32-bit id per item).
 class PageStore {
  public:
-  /// `page_size_bytes` must be large enough for at least one small
-  /// transaction; 4096 mimics a classic disk page.
+  /// Smallest accepted page size, in bytes.
+  static constexpr uint32_t kMinPageSizeBytes = 64;
+
+  /// `page_size_bytes` must be at least kMinPageSizeBytes and large enough
+  /// for every stored transaction; 4096 mimics a classic disk page.
   explicit PageStore(uint32_t page_size_bytes = 4096);
 
   /// Serialized size of a transaction in bytes.

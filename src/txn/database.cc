@@ -20,10 +20,6 @@ TransactionId TransactionDatabase::Add(Transaction transaction) {
   return static_cast<TransactionId>(transactions_.size() - 1);
 }
 
-void TransactionDatabase::AddAll(std::vector<Transaction> transactions) {
-  for (auto& transaction : transactions) Add(std::move(transaction));
-}
-
 const Transaction& TransactionDatabase::Get(TransactionId id) const {
   MBI_CHECK(id < transactions_.size());
   return transactions_[id];

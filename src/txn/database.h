@@ -24,9 +24,6 @@ class TransactionDatabase {
   /// universe (checked).
   TransactionId Add(Transaction transaction);
 
-  /// Appends many transactions.
-  void AddAll(std::vector<Transaction> transactions);
-
   const Transaction& Get(TransactionId id) const;
   size_t size() const { return transactions_.size(); }
   bool empty() const { return transactions_.empty(); }

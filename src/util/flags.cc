@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -11,17 +12,22 @@ FlagParser::FlagParser(std::string description)
     : description_(std::move(description)) {}
 
 void FlagParser::AddInt64(const std::string& name, int64_t default_value,
-                          const std::string& help, int64_t* out) {
+                          const std::string& help, int64_t* out,
+                          int64_t min_value, int64_t max_value) {
   *out = default_value;
-  flags_[name] = {Type::kInt64, help, std::to_string(default_value), out};
+  flags_[name] = {Type::kInt64, help, std::to_string(default_value), out,
+                  min_value, max_value};
 }
 
 void FlagParser::AddDouble(const std::string& name, double default_value,
-                           const std::string& help, double* out) {
+                           const std::string& help, double* out,
+                           double min_value, double max_value,
+                           bool min_exclusive) {
   *out = default_value;
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", default_value);
-  flags_[name] = {Type::kDouble, help, buffer, out};
+  flags_[name] = {Type::kDouble, help, buffer, out, 0, 0, min_value, max_value,
+                  min_exclusive};
 }
 
 void FlagParser::AddString(const std::string& name,
@@ -56,10 +62,17 @@ void FlagParser::SetValue(const std::string& name, const std::string& value) {
   char* end = nullptr;
   switch (flag.type) {
     case Type::kInt64: {
+      errno = 0;
       int64_t parsed = std::strtoll(value.c_str(), &end, 10);
       if (end == value.c_str() || *end != '\0') {
         std::fprintf(stderr, "Flag --%s expects an integer, got '%s'\n",
                      name.c_str(), value.c_str());
+        std::exit(2);
+      }
+      if (errno == ERANGE || parsed < flag.int_min || parsed > flag.int_max) {
+        std::fprintf(stderr, "Flag --%s must be in [%lld, %lld], got '%s'\n",
+                     name.c_str(), static_cast<long long>(flag.int_min),
+                     static_cast<long long>(flag.int_max), value.c_str());
         std::exit(2);
       }
       *static_cast<int64_t*>(flag.target) = parsed;
@@ -70,6 +83,15 @@ void FlagParser::SetValue(const std::string& name, const std::string& value) {
       if (end == value.c_str() || *end != '\0') {
         std::fprintf(stderr, "Flag --%s expects a number, got '%s'\n",
                      name.c_str(), value.c_str());
+        std::exit(2);
+      }
+      // Written so that NaN fails every range.
+      const bool above_min = flag.real_min_exclusive ? parsed > flag.real_min
+                                                     : parsed >= flag.real_min;
+      if (!above_min || !(parsed <= flag.real_max)) {
+        std::fprintf(stderr, "Flag --%s must be in %c%g, %g], got '%s'\n",
+                     name.c_str(), flag.real_min_exclusive ? '(' : '[',
+                     flag.real_min, flag.real_max, value.c_str());
         std::exit(2);
       }
       *static_cast<double*>(flag.target) = parsed;

@@ -2,6 +2,7 @@
 #define MBI_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -21,17 +22,27 @@ class FlagParser {
 
   /// Registers flags. Each returns a pointer whose pointee is updated by
   /// Parse(); the pointee keeps `default_value` if the flag is absent.
+  ///
+  /// Numeric flags take the range their consumer accepts: Parse() rejects a
+  /// value outside [min_value, max_value] (for doubles, (min_value,
+  /// max_value] when `min_exclusive`) as a usage error, so a caller can
+  /// narrow the value without a silent wrap or a failed check downstream.
   void AddInt64(const std::string& name, int64_t default_value,
-                const std::string& help, int64_t* out);
+                const std::string& help, int64_t* out,
+                int64_t min_value = std::numeric_limits<int64_t>::min(),
+                int64_t max_value = std::numeric_limits<int64_t>::max());
   void AddDouble(const std::string& name, double default_value,
-                 const std::string& help, double* out);
+                 const std::string& help, double* out,
+                 double min_value = -std::numeric_limits<double>::infinity(),
+                 double max_value = std::numeric_limits<double>::infinity(),
+                 bool min_exclusive = false);
   void AddString(const std::string& name, const std::string& default_value,
                  const std::string& help, std::string* out);
   void AddBool(const std::string& name, bool default_value,
                const std::string& help, bool* out);
 
   /// Parses argv. On `--help` prints usage and returns false (caller should
-  /// exit 0). Aborts on malformed or unknown flags.
+  /// exit 0). Exits 2 on malformed, out-of-range or unknown flags.
   bool Parse(int argc, char** argv);
 
  private:
@@ -41,6 +52,12 @@ class FlagParser {
     std::string help;
     std::string default_text;
     void* target;
+    // Accepted range of a numeric flag (kInt64 / kDouble only).
+    int64_t int_min = 0;
+    int64_t int_max = 0;
+    double real_min = 0.0;
+    double real_max = 0.0;
+    bool real_min_exclusive = false;
   };
 
   void PrintUsage() const;

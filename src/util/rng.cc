@@ -1,8 +1,6 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "util/macros.h"
 
@@ -113,18 +111,6 @@ double Rng::StandardNormal() {
 
 double Rng::Normal(double mean, double stddev) {
   return mean + stddev * StandardNormal();
-}
-
-std::vector<uint64_t> Rng::SampleWithoutReplacement(uint64_t population,
-                                                    uint64_t count) {
-  MBI_CHECK(count <= population);
-  // Floyd's algorithm: O(count) draws, exact uniformity.
-  std::set<uint64_t> chosen;
-  for (uint64_t j = population - count; j < population; ++j) {
-    uint64_t t = UniformUint64(j + 1);
-    if (!chosen.insert(t).second) chosen.insert(j);
-  }
-  return std::vector<uint64_t>(chosen.begin(), chosen.end());
 }
 
 }  // namespace mbi

@@ -67,12 +67,6 @@ class Rng {
     }
   }
 
-  /// Draws `count` distinct values uniformly from `[0, population)` using
-  /// Floyd's algorithm; result is in ascending order.
-  /// Requires `count <= population`.
-  std::vector<uint64_t> SampleWithoutReplacement(uint64_t population,
-                                                 uint64_t count);
-
  private:
   uint64_t state_[4];
 };

@@ -41,14 +41,12 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0) all_done_.Wait(&mutex_);
 }
 
-void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                             size_t chunk) {
+void ThreadPool::ParallelFor(size_t count,
+                             const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  if (chunk == 0) {
-    // Default: ~8 grabs per worker, so dynamic balancing survives uneven
-    // costs but one-index-per-grab lock traffic never dominates tiny bodies.
-    chunk = std::max<size_t>(1, count / (workers_.size() * 8));
-  }
+  // ~8 grabs per worker, so dynamic balancing survives uneven costs but
+  // one-index-per-grab lock traffic never dominates tiny bodies.
+  const size_t chunk = std::max<size_t>(1, count / (workers_.size() * 8));
   // Shard by an atomic cursor so uneven task costs balance dynamically; each
   // grab claims `chunk` consecutive indices. The cursor lives on this frame:
   // Wait() below outlives every worker lambda, and keeping it off the heap

@@ -42,14 +42,14 @@ class ThreadPool {
   /// Runs `count` index-addressed tasks across the pool and waits:
   /// `fn(i)` is invoked exactly once for each i in [0, count).
   ///
-  /// The range is dispatched in chunks (a shared atomic cursor advanced by
-  /// `chunk` indices at a time) so small per-index bodies aren't dominated
-  /// by atomic/queue traffic, while uneven per-index costs still balance
-  /// dynamically. `chunk` of 0 picks a default that gives every worker
-  /// several grabs. Must not be called from inside one of this pool's own
-  /// tasks (the final wait would deadlock on the caller's unfinished task).
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                   size_t chunk = 0) MBI_EXCLUDES(mutex_);
+  /// The range is dispatched in chunks (a shared atomic cursor advanced
+  /// several indices at a time, about eight grabs per worker) so small
+  /// per-index bodies aren't dominated by atomic/queue traffic, while uneven
+  /// per-index costs still balance dynamically. Must not be called from
+  /// inside one of this pool's own tasks (the final wait would deadlock on
+  /// the caller's unfinished task).
+  void ParallelFor(size_t count, const std::function<void(size_t)>& fn)
+      MBI_EXCLUDES(mutex_);
 
  private:
   void WorkerLoop() MBI_EXCLUDES(mutex_);

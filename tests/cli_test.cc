@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -136,6 +137,57 @@ TEST(CliTest, ErrorsAreReported) {
   EXPECT_EQ(RunCli("query --db " + db + " --index " + index + " --items 99999")
                 .exit_code,
             1);
+
+  // Out-of-range numeric flags are usage errors: exit 2 with one line, never
+  // a silent wrap, a full scan or a failed check, and `build` writes nothing.
+  const std::string query = "query --db " + db + " --index " + index;
+  const std::string out = TempPath("cli_errors_rejected.mbst");
+  const std::string build = "build --db " + db + " --out " + out;
+  const std::string insert =
+      "insert --index " + TempPath("cli_errors_rejected.mbdyn") + " --db " + db;
+  // A 30-item universe is too small for K = 31, and its ~25-item baskets
+  // serialize to more than a 64-byte page.
+  const std::string wide_db = TempPath("cli_errors_wide.mbid");
+  ASSERT_EQ(RunCli("generate --out " + wide_db +
+                   " --transactions 20 --universe 30 --itemsets 20"
+                   " --avg_tx_size 30")
+                .exit_code,
+            0);
+  const std::string wide_build = "build --db " + wide_db + " --out " + out;
+  const std::string wide_insert = "insert --index " +
+                                  TempPath("cli_errors_wide.mbdyn") +
+                                  " --db " + wide_db;
+  for (const std::string& args : {
+           query + " --k -1",
+           query + " --k 0",
+           query + " --termination 0",
+           build + " --activation 0",
+           build + " --activation 4294967297",
+           build + " --cardinality 0",
+           build + " --cardinality 40",
+           build + " --cardinality -1",
+           build + " --page_size 0",
+           build + " --page_size -5",
+           build + " --min_pair_support -0.5",
+           wide_build + " --page_size 64",
+           wide_build + " --cardinality 31",
+           wide_insert + " --cardinality 31",
+           insert + " --buffer_capacity 0",
+           insert + " --fanout 1",
+           insert + " --cardinality 40",
+       }) {
+    CommandResult rejected = RunCli(args);
+    EXPECT_EQ(rejected.exit_code, 2) << args << "\n" << rejected.output;
+    EXPECT_EQ(std::count(rejected.output.begin(), rejected.output.end(), '\n'),
+              1)
+        << args << "\n" << rejected.output;
+    EXPECT_EQ(rejected.output.find("top-"), std::string::npos) << args;
+    EXPECT_EQ(rejected.output.find("MBI_CHECK"), std::string::npos) << args;
+  }
+  std::FILE* written = std::fopen(out.c_str(), "rb");
+  EXPECT_EQ(written, nullptr) << "a rejected build wrote " << out;
+  if (written != nullptr) std::fclose(written);
+  std::remove(wide_db.c_str());
   std::remove(db.c_str());
   std::remove(index.c_str());
 }

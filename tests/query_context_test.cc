@@ -2,9 +2,8 @@
 // but never *state* — every query answered through a reused context must be
 // bit-identical to one answered through a fresh context, across changes of
 // target, k, similarity family, sort order, and target count, and under
-// concurrent batch execution on shared pools. Also covers the deterministic
-// parallel bound computation (bound_pool) and the caller-owned-pool batch
-// overload.
+// concurrent batch execution on shared pools. Also covers the
+// caller-owned-pool batch overload.
 
 #include <gtest/gtest.h>
 
@@ -128,42 +127,6 @@ TEST(QueryContextTest, MultiTargetToSingleTargetDoesNotLeak) {
   NearestNeighborResult multi_ref =
       engine.FindKNearestMultiTargetReference(many, *family, 4);
   ExpectSameResult(multi, multi_ref, "multi-target after single");
-}
-
-/// Parallel bound computation through a bound_pool must be deterministic and
-/// bit-identical to the serial path, for any thread count and chunk size.
-/// The thresholds are lowered so the parallel path actually runs on this
-/// small test table.
-TEST(QueryContextTest, ParallelBoundComputationIsDeterministic) {
-  Fixture fixture = MakeFixture(303, 10, 1500, 6);
-  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
-  auto family = MakeSimilarityFamily("match_ratio");
-
-  for (size_t threads : {1u, 2u, 5u}) {
-    ThreadPool pool(threads);
-    for (size_t chunk : {1u, 7u, 64u, 100000u}) {
-      QueryContext context;
-      context.set_bound_pool(&pool);
-      context.set_parallel_bound_min_entries(1);
-      context.set_parallel_bound_chunk(chunk);
-      for (const Transaction& target : fixture.queries) {
-        SearchOptions options;
-        options.collect_trace = true;
-        NearestNeighborResult parallel =
-            engine.FindKNearest(target, *family, 5, options, &context);
-        NearestNeighborResult serial =
-            engine.FindKNearest(target, *family, 5, options);
-        ExpectSameResult(parallel, serial,
-                         "threads=" + std::to_string(threads) +
-                             " chunk=" + std::to_string(chunk));
-        ASSERT_EQ(parallel.trace.size(), serial.trace.size());
-        for (size_t i = 0; i < parallel.trace.size(); ++i) {
-          EXPECT_EQ(parallel.trace[i].optimistic_bound,
-                    serial.trace[i].optimistic_bound);
-        }
-      }
-    }
-  }
 }
 
 TEST(QueryContextTest, BatchMatchesSerialWithAndWithoutCallerPool) {

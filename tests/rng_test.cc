@@ -150,22 +150,5 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(shuffled, values);
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinctAndSorted) {
-  Rng rng(41);
-  for (int trial = 0; trial < 100; ++trial) {
-    auto sample = rng.SampleWithoutReplacement(50, 10);
-    EXPECT_EQ(sample.size(), 10u);
-    EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
-    EXPECT_EQ(std::adjacent_find(sample.begin(), sample.end()), sample.end());
-    for (uint64_t value : sample) EXPECT_LT(value, 50u);
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementFullPopulation) {
-  Rng rng(43);
-  auto sample = rng.SampleWithoutReplacement(5, 5);
-  EXPECT_EQ(sample, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
-}
-
 }  // namespace
 }  // namespace mbi

@@ -49,34 +49,10 @@ TEST(ThreadPoolTest, ParallelForZeroCountIsNoOp) {
   pool.ParallelFor(0, [](size_t) { FAIL() << "must not be called"; });
 }
 
-TEST(ThreadPoolTest, ParallelForExplicitChunkCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  // Chunk sizes that divide the range, leave a ragged tail, exceed the
-  // range, and degenerate to one index per grab.
-  for (size_t chunk : {1u, 3u, 64u, 250u, 999u, 1000u, 5000u}) {
-    std::vector<std::atomic<int>> hits(1000);
-    pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); }, chunk);
-    for (size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "chunk " << chunk << ", index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForChunkLargerThanCountRunsInline) {
-  // With one chunk covering the whole range, a single worker executes the
-  // entire loop; effects must still be exact (and non-atomic is safe).
-  ThreadPool pool(4);
-  std::vector<int> hits(100, 0);
-  pool.ParallelFor(100, [&](size_t i) { hits[i] += 1; }, 1000);
-  for (size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForSmallCountOnLargePool) {
   ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(3);
-  pool.ParallelFor(3, [&](size_t i) { hits[i].fetch_add(1); }, 1);
+  pool.ParallelFor(3, [&](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }

@@ -141,5 +141,40 @@ TEST(FlagParserDeathTest, MalformedIntExits) {
               ::testing::ExitedWithCode(2), "expects an integer");
 }
 
+TEST(FlagParserTest, AcceptsRangeEndpoints) {
+  FlagParser parser("test");
+  int64_t count = 0;
+  double ratio = 0.0;
+  parser.AddInt64("count", 7, "a count", &count, 1, 31);
+  parser.AddDouble("ratio", 0.5, "a ratio", &ratio, 0.0, 1.0,
+                   /*min_exclusive=*/true);
+  const char* argv[] = {"prog", "--count=31", "--ratio=1"};
+  EXPECT_TRUE(parser.Parse(3, const_cast<char**>(argv)));
+  EXPECT_EQ(count, 31);
+  EXPECT_DOUBLE_EQ(ratio, 1.0);
+}
+
+TEST(FlagParserDeathTest, OutOfRangeValuesExit) {
+  FlagParser parser("test");
+  int64_t count = 0;
+  double ratio = 0.0;
+  parser.AddInt64("count", 7, "a count", &count, 1, 31);
+  parser.AddDouble("ratio", 0.5, "a ratio", &ratio, 0.0, 1.0,
+                   /*min_exclusive=*/true);
+  for (const char* arg : {"--count=0", "--count=32", "--count=-1",
+                          "--count=99999999999999999999"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "must be in \\[1, 31\\]")
+        << arg;
+  }
+  for (const char* arg : {"--ratio=0", "--ratio=1.5", "--ratio=nan"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(parser.Parse(2, const_cast<char**>(argv)),
+                ::testing::ExitedWithCode(2), "must be in \\(0, 1\\]")
+        << arg;
+  }
+}
+
 }  // namespace
 }  // namespace mbi

@@ -29,11 +29,12 @@ int RunBench(int argc, char** argv) {
   flags.AddString("index", "index.mbst", "index file", &index_path);
   flags.AddString("similarity", "match_ratio",
                   "hamming | match_ratio | cosine", &similarity);
-  flags.AddInt64("queries", 200, "number of query baskets", &queries);
-  flags.AddInt64("k", 10, "neighbours per query", &k);
+  flags.AddInt64("queries", 200, "number of query baskets", &queries, 1);
+  flags.AddInt64("k", 10, "neighbours per query", &k, 1);
   flags.AddInt64("seed", 99, "workload generator seed", &seed);
   flags.AddDouble("termination", 1.0,
-                  "early-termination access fraction in (0,1]", &termination);
+                  "early-termination access fraction in (0,1]", &termination,
+                  0.0, 1.0, /*min_exclusive=*/true);
   double deadline_ms;
   flags.AddDouble("deadline_ms", 0.0,
                   "per-query deadline in milliseconds; expired queries return "
@@ -44,7 +45,7 @@ int RunBench(int argc, char** argv) {
                  "route queries through an AdmissionController with this many "
                  "execution tokens and report shed/degraded counts "
                  "(0 = no admission control)",
-                 &max_in_flight);
+                 &max_in_flight, 0);
   std::string metrics_json;
   flags.AddString("metrics_json", "",
                   "write an mbi.metrics.v1 JSON snapshot of every metric to "

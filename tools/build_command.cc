@@ -1,7 +1,10 @@
 #include <cstdio>
+#include <limits>
 
 #include "core/index_builder.h"
+#include "core/signature_partition.h"
 #include "core/table_io.h"
+#include "storage/page_store.h"
 #include "tools/cli_command.h"
 #include "txn/database_io.h"
 #include "util/flags.h"
@@ -18,13 +21,15 @@ int RunBuild(int argc, char** argv) {
   flags.AddString("db", "data.mbid", "input database file", &db_path);
   flags.AddString("out", "index.mbst", "output index file", &out);
   flags.AddInt64("cardinality", 15, "signature cardinality K (<= 31)",
-                 &cardinality);
-  flags.AddInt64("activation", 1, "activation threshold r", &activation_threshold);
+                 &cardinality, 1, SignaturePartition::kMaxCardinality);
+  flags.AddInt64("activation", 1, "activation threshold r",
+                 &activation_threshold, 1, std::numeric_limits<int>::max());
   flags.AddInt64("page_size", 4096, "simulated disk page size in bytes",
-                 &page_size);
+                 &page_size, PageStore::kMinPageSizeBytes,
+                 std::numeric_limits<uint32_t>::max());
   flags.AddDouble("min_pair_support", 0.0005,
                   "minimum pair support for clustering edges",
-                  &min_pair_support);
+                  &min_pair_support, 0.0, 1.0);
   flags.AddBool("balanced", false,
                 "use the correlation-blind balanced partitioner "
                 "(ablation control)",
@@ -40,6 +45,23 @@ int RunBuild(int argc, char** argv) {
   if (!db.ok()) {
     std::fprintf(stderr, "error: %s\n", db.status().ToString().c_str());
     return 1;
+  }
+  // The flags' range checks cannot know the database: clustering needs at
+  // least K items, and every transaction must fit on one page.
+  if (static_cast<uint64_t>(cardinality) > db->universe_size()) {
+    std::fprintf(stderr, "--cardinality %lld exceeds the %u-item universe\n",
+                 static_cast<long long>(cardinality), db->universe_size());
+    return 2;
+  }
+  for (const Transaction& transaction : db->transactions()) {
+    if (PageStore::SerializedSize(transaction) > page_size) {
+      std::fprintf(stderr,
+                   "--page_size %lld is smaller than a %zu-item transaction "
+                   "(%u bytes)\n",
+                   static_cast<long long>(page_size), transaction.size(),
+                   PageStore::SerializedSize(transaction));
+      return 2;
+    }
   }
 
   Stopwatch timer;

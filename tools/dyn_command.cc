@@ -9,10 +9,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/signature_partition.h"
 #include "dyn/dyn_io.h"
 #include "dyn/dynamic_index.h"
 #include "storage/env.h"
@@ -40,6 +42,16 @@ bool ParseIdList(const std::string& text, std::vector<uint32_t>* ids) {
     pos = comma + 1;
   }
   return !ids->empty();
+}
+
+/// Merges cluster the universe into K signatures, which needs at least K
+/// items; the flag's range check cannot know the universe.
+bool CardinalityFitsUniverse(int64_t cardinality, size_t universe) {
+  if (static_cast<size_t>(cardinality) <= universe) return true;
+  std::fprintf(stderr,
+               "--cardinality %lld exceeds the %zu-item universe\n",
+               static_cast<long long>(cardinality), universe);
+  return false;
 }
 
 void PrintBreakdown(const DynamicIndex& index) {
@@ -75,15 +87,15 @@ int RunInsert(int argc, char** argv) {
   flags.AddInt64("universe", 0,
                  "item universe size when creating a fresh index (defaults "
                  "to the --db universe; required for --items-only creation)",
-                 &universe);
+                 &universe, 0, std::numeric_limits<ItemId>::max());
   flags.AddInt64("buffer_capacity", 256,
                  "mutable buffer rows before a spill (creation only)",
-                 &buffer_capacity);
+                 &buffer_capacity, 1);
   flags.AddInt64("fanout", 4,
                  "components per level before a merge (creation only)",
-                 &fanout);
+                 &fanout, 2);
   flags.AddInt64("cardinality", 15, "signature cardinality K for merges",
-                 &cardinality);
+                 &cardinality, 1, SignaturePartition::kMaxCardinality);
   if (!flags.Parse(argc, argv)) return 0;
 
   DynamicIndexOptions options;
@@ -137,6 +149,7 @@ int RunInsert(int argc, char** argv) {
     }
     index = std::make_unique<DynamicIndex>(universe_size, options);
   }
+  if (!CardinalityFitsUniverse(cardinality, index->universe_size())) return 2;
 
   Stopwatch timer;
   for (const Transaction& txn : rows) {
@@ -192,7 +205,7 @@ int RunCompact(int argc, char** argv) {
   flags.AddString("index", "index.mbdyn", "dynamic index path prefix",
                   &index_prefix);
   flags.AddInt64("cardinality", 15, "signature cardinality K for the rebuild",
-                 &cardinality);
+                 &cardinality, 1, SignaturePartition::kMaxCardinality);
   if (!flags.Parse(argc, argv)) return 0;
 
   DynamicIndexOptions options;
@@ -204,6 +217,7 @@ int RunCompact(int argc, char** argv) {
     return 1;
   }
   std::unique_ptr<DynamicIndex> index = std::move(loaded).value();
+  if (!CardinalityFitsUniverse(cardinality, index->universe_size())) return 2;
   std::printf("before:\n");
   PrintBreakdown(*index);
 

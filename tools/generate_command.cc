@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <limits>
 
 #include "gen/quest_generator.h"
 #include "tools/cli_command.h"
@@ -15,14 +16,18 @@ int RunGenerate(int argc, char** argv) {
   double avg_tx_size, avg_itemset_size;
   flags.AddString("out", "data.mbid", "output database file", &out);
   flags.AddInt64("transactions", 100'000, "number of transactions",
-                 &transactions);
-  flags.AddInt64("universe", 1000, "number of distinct items", &universe);
+                 &transactions, 0);
+  flags.AddInt64("universe", 1000, "number of distinct items", &universe, 1,
+                 std::numeric_limits<uint32_t>::max());
   flags.AddInt64("itemsets", 2000, "number of potentially large itemsets",
-                 &itemsets);
+                 &itemsets, 1, std::numeric_limits<uint32_t>::max());
   flags.AddDouble("avg_tx_size", 10.0, "average transaction size (T)",
-                  &avg_tx_size);
+                  &avg_tx_size, 0.0, std::numeric_limits<double>::infinity(),
+                  /*min_exclusive=*/true);
   flags.AddDouble("avg_itemset_size", 6.0, "average itemset size (I)",
-                  &avg_itemset_size);
+                  &avg_itemset_size, 0.0,
+                  std::numeric_limits<double>::infinity(),
+                  /*min_exclusive=*/true);
   flags.AddInt64("seed", 42, "generator seed", &seed);
   if (!flags.Parse(argc, argv)) return 0;
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "mining/apriori.h"
@@ -30,11 +31,11 @@ int RunMine(int argc, char** argv) {
   int64_t max_size, show;
   flags.AddString("db", "data.mbid", "database file", &db_path);
   flags.AddDouble("min_support", 0.01, "minimum itemset support",
-                  &min_support);
+                  &min_support, 0.0, 1.0, /*min_exclusive=*/true);
   flags.AddDouble("min_confidence", 0.5, "minimum rule confidence",
-                  &min_confidence);
+                  &min_confidence, 0.0, 1.0);
   flags.AddInt64("max_size", 0, "largest itemset size to mine (0 = all)",
-                 &max_size);
+                 &max_size, 0, std::numeric_limits<uint32_t>::max());
   flags.AddInt64("show", 15, "itemsets/rules to print", &show);
   if (!flags.Parse(argc, argv)) return 0;
 

@@ -52,9 +52,10 @@ int RunQuery(int argc, char** argv) {
                   &items_text);
   flags.AddString("similarity", "match_ratio",
                   "hamming | match_ratio | cosine", &similarity);
-  flags.AddInt64("k", 5, "neighbours to retrieve", &k);
+  flags.AddInt64("k", 5, "neighbours to retrieve", &k, 1);
   flags.AddDouble("termination", 1.0,
-                  "early-termination access fraction in (0,1]", &termination);
+                  "early-termination access fraction in (0,1]", &termination,
+                  0.0, 1.0, /*min_exclusive=*/true);
   flags.AddDouble("range", -1.0,
                   "if >= 0, run a range query with this threshold instead of "
                   "k-NN",
