@@ -84,16 +84,4 @@ void FindKNearestBatch(const BranchAndBoundEngine& engine,
   done.wait();
 }
 
-QueryStats AggregateBatchStats(
-    const std::vector<NearestNeighborResult>& results) {
-  QueryStats agg;
-  uint64_t max_database_size = 0;
-  for (const NearestNeighborResult& result : results) {
-    MergeQueryStats(result.stats, &agg);
-    max_database_size = std::max(max_database_size, result.stats.database_size);
-  }
-  agg.database_size = max_database_size;
-  return agg;
-}
-
 }  // namespace mbi

@@ -59,16 +59,6 @@ void FindKNearestBatch(const BranchAndBoundEngine& engine,
                        ThreadPool* pool, BatchQueryWorkspace* workspace,
                        std::vector<NearestNeighborResult>* results);
 
-/// Folds a batch's per-target stats into one QueryStats under the shared
-/// MergeQueryStats rules — certificate_bound as max, is_exact as AND,
-/// termination as most-severe, counters as sums — except `database_size`,
-/// which stays the per-query maximum: every batch entry queried the same
-/// database, so summing (the rule for *partitioned* components) would
-/// inflate it by the batch size. Callers reporting batch-level quality
-/// (CLI, benchmarks) must use this instead of improvising: last-writer or
-/// summed certificates are unsound.
-QueryStats AggregateBatchStats(const std::vector<NearestNeighborResult>& results);
-
 }  // namespace mbi
 
 #endif  // MBI_CORE_BATCH_QUERY_H_

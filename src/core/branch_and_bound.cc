@@ -270,10 +270,9 @@ MBI_HOT void BranchAndBoundEngine::RunKNearest(
   if (options.max_access_fraction >= 1.0) {
     budget = std::numeric_limits<uint64_t>::max();
   }
-  // Overload budget (tightest-wins between the per-call options and the
-  // context's session default); an unlimited budget costs no clock reads.
-  const QueryBudget qbudget =
-      QueryBudget::Tightest(options.budget, ctx.budget_);
+  // Overload budget, copied so the entry loop polls a local no store can
+  // alias; an unlimited budget costs no clock reads.
+  const QueryBudget qbudget = options.budget;
 
   // Min-heap of the k best candidates; front is the pessimistic bound once
   // the heap is full.
@@ -746,22 +745,24 @@ RangeQueryResult BranchAndBoundEngine::FindInRangeMulti(
   return result;
 }
 
-void BranchAndBoundEngine::CheckBoundDominance(
-    const Transaction& target, const SimilarityFamily& family) const {
+void CheckBoundDominance(const TransactionDatabase& database,
+                         const SignatureTable& table,
+                         const Transaction& target,
+                         const SimilarityFamily& family) {
   std::unique_ptr<SimilarityFunction> similarity = family.ForTarget(target);
-  BoundCalculator calculator(table_->partition().CountsPerSignature(target),
-                             table_->activation_threshold());
+  BoundCalculator calculator(table.partition().CountsPerSignature(target),
+                             table.activation_threshold());
 
-  for (size_t i = 0; i < table_->entries().size(); ++i) {
-    const SignatureTable::Entry& entry = table_->entries()[i];
+  for (size_t i = 0; i < table.entries().size(); ++i) {
+    const SignatureTable::Entry& entry = table.entries()[i];
     const double optimistic =
         calculator.OptimisticSimilarity(entry.coordinate, *similarity);
     std::vector<TransactionId> ids =
-        table_->FetchEntryTransactions(i, /*stats=*/nullptr);
+        table.FetchEntryTransactions(i, /*stats=*/nullptr);
     for (TransactionId id : ids) {
       size_t match = 0;
       size_t hamming = 0;
-      MatchAndHamming(target, database_->Get(id), &match, &hamming);
+      MatchAndHamming(target, database.Get(id), &match, &hamming);
       const double actual = similarity->Evaluate(static_cast<int>(match),
                                                  static_cast<int>(hamming));
       MBI_CHECK_MSG(actual <= optimistic,

@@ -78,10 +78,10 @@ struct SearchOptions {
   bool collect_trace = false;
 
   /// Cooperative overload budget (deadline / entry cap / cancellation),
-  /// checked at entry granularity. Merged tightest-wins with any budget
-  /// pinned on the QueryContext. Default-constructed = unlimited. On expiry
-  /// the query returns a certified degraded answer (never crashes, never
-  /// returns an inconsistent certificate); see QueryStats::termination.
+  /// checked at entry granularity: the query's only budget.
+  /// Default-constructed = unlimited. On expiry the query returns a
+  /// certified degraded answer (never crashes, never returns an
+  /// inconsistent certificate); see QueryStats::termination.
   /// The frozen *Reference paths ignore it by design.
   QueryBudget budget;
 
@@ -267,16 +267,6 @@ class BranchAndBoundEngine {
   const TransactionDatabase& database() const { return *database_; }
   const SignatureTable& table() const { return *table_; }
 
-  /// Exhaustively verifies Lemma 2.1 for `target`: for every signature table
-  /// entry, the optimistic bound f(M_opt, D_opt) must dominate (be >= than)
-  /// the actual similarity f(x, y) of *every* transaction indexed under that
-  /// entry. This is the property that makes branch-and-bound pruning safe;
-  /// a violation means the index could silently drop true nearest
-  /// neighbours. Aborts (via MBI_CHECK) on the first violation. O(N · |T|);
-  /// meant for tests and the CLI's --check_invariants debug flag.
-  void CheckBoundDominance(const Transaction& target,
-                           const SimilarityFamily& family) const;
-
  private:
   /// Shared implementation of the k-NN variants. `targets` is a borrowed
   /// span (pointer + count) so the single-target entry point doesn't have to
@@ -296,6 +286,20 @@ class BranchAndBoundEngine {
   std::shared_ptr<const CandidateLayout> owned_layout_;
   const CandidateLayout* layout_;
 };
+
+/// Exhaustively verifies Lemma 2.1 for `target` over `table`, an index of
+/// `database`: for every signature table entry, the optimistic bound
+/// f(M_opt, D_opt) must dominate (be >= than) the actual similarity f(x, y)
+/// of *every* transaction indexed under that entry. This is the property that
+/// makes branch-and-bound pruning safe; a violation means the index could
+/// silently drop true nearest neighbours. Aborts (via MBI_CHECK) on the first
+/// violation. O(N · |T|); reads ids through the table's entry lists, so it
+/// needs no candidate layout. Meant for tests and the CLI's
+/// --check_invariants debug flag.
+void CheckBoundDominance(const TransactionDatabase& database,
+                         const SignatureTable& table,
+                         const Transaction& target,
+                         const SimilarityFamily& family);
 
 }  // namespace mbi
 

@@ -3,9 +3,9 @@
 
 // Cooperative per-query resource budget: a wall-clock deadline, an
 // entry-scan cap, and a cancellation token. Carried by value in
-// SearchOptions (and optionally pinned on a QueryContext for session-wide
-// defaults); the engines check it at entry granularity and, on expiry,
-// return a *certified degraded answer* instead of crashing or blocking —
+// SearchOptions::budget, the one place a query's budget comes from; the
+// engines check it at entry granularity and, on expiry, return a
+// *certified degraded answer* instead of crashing or blocking —
 // QueryStats::termination / certificate_bound record what was given up
 // (paper §4's a-posteriori quality guarantee).
 //
@@ -84,21 +84,6 @@ struct QueryBudget {
     budget.clock = clock;
     budget.deadline_us = budget.effective_clock()->NowUs() + ms * 1000.0;
     return budget;
-  }
-
-  /// Tightest-wins merge of two budgets (used when both SearchOptions and
-  /// the QueryContext carry one). A non-null clock in `a` wins, else `b`'s;
-  /// two distinct cancel tokens cannot be merged without allocation, so `a`'s
-  /// token wins when both are set.
-  static QueryBudget Tightest(const QueryBudget& a, const QueryBudget& b) {
-    QueryBudget merged;
-    merged.deadline_us = a.deadline_us < b.deadline_us ? a.deadline_us
-                                                       : b.deadline_us;
-    merged.max_entries =
-        a.max_entries < b.max_entries ? a.max_entries : b.max_entries;
-    merged.cancel = a.cancel != nullptr ? a.cancel : b.cancel;
-    merged.clock = a.clock != nullptr ? a.clock : b.clock;
-    return merged;
   }
 };
 

@@ -34,6 +34,8 @@ namespace mbi {
 /// a fresh context (query_context_test.cc asserts this, including across
 /// changes of target, k, similarity family, and sort order).
 ///
+/// It holds buffers only: a query's budget comes from SearchOptions::budget.
+///
 /// Not thread-safe: one context per concurrent query. FindKNearestBatch
 /// keeps one per worker shard.
 class QueryContext {
@@ -42,13 +44,6 @@ class QueryContext {
 
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
-
-  /// Session-wide budget default: merged tightest-wins with
-  /// SearchOptions::budget on every query through this context. The
-  /// admission controller uses this to tighten deadlines on queued batches
-  /// without touching each caller's options.
-  void set_budget(const QueryBudget& budget) { budget_ = budget; }
-  const QueryBudget& budget() const { return budget_; }
 
  private:
   friend class BranchAndBoundEngine;
@@ -75,8 +70,6 @@ class QueryContext {
   std::vector<uint32_t> hamming_scratch_;
   std::vector<double> score_scratch_;
   std::vector<Neighbor> knn_heap_;
-
-  QueryBudget budget_;
 };
 
 }  // namespace mbi

@@ -541,8 +541,7 @@ void DynamicIndex::FindKNearest(const Transaction& target,
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
   context->merger.Reset(k);
 
-  const QueryBudget budget =
-      QueryBudget::Tightest(options.budget, context->context.budget());
+  const QueryBudget budget = options.budget;
   family.RebindTarget(target, &context->similarity);
   const SimilarityFunction& similarity = *context->similarity;
   const double optimistic = PointwiseBound(similarity, target.size());
@@ -618,7 +617,6 @@ void DynamicIndex::FindKNearest(const Transaction& target,
       continue;
     }
     SearchOptions component_options = options;
-    component_options.budget = budget;
     if (budget.max_entries != std::numeric_limits<uint64_t>::max()) {
       const uint64_t remaining =
           budget.max_entries > charged ? budget.max_entries - charged : 0;

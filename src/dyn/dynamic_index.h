@@ -175,11 +175,11 @@ class DynamicIndex {
   Status Delete(TransactionId gid);
 
   /// Top-k across buffer + all components, deletes applied. `k >= 1`.
-  /// Budget semantics: SearchOptions::budget (merged tightest-wins with the
-  /// context's session budget) spans the *whole* fan-out — max_entries is
-  /// charged across components in each path's scan unit (DESIGN.md §13.4)
-  /// and the first probe always runs (min-one rule); components skipped on
-  /// an exhausted budget are folded into the certificate as unexplored.
+  /// Budget semantics: SearchOptions::budget spans the *whole* fan-out —
+  /// max_entries is charged across components in each path's scan unit
+  /// (DESIGN.md §13.4) and the first probe always runs (min-one rule);
+  /// components skipped on an exhausted budget are folded into the
+  /// certificate as unexplored.
   void FindKNearest(const Transaction& target, const SimilarityFamily& family,
                     size_t k, const SearchOptions& options,
                     DynQueryContext* context,

@@ -1,9 +1,8 @@
 #include "engine/engine.h"
 
-#include <limits>
 #include <utility>
 
-#include "core/batch_query.h"
+#include "core/query_context.h"
 
 namespace mbi {
 
@@ -176,13 +175,8 @@ void SignatureTableEngine::FindKNearestImpl(
     const SearchOptions& options, QueryContext* context,
     NearestNeighborResult* result) const {
   if (!healthy()) {
-    // Same tightest-wins budget merge the branch-and-bound path applies.
-    SequentialKNearest(
-        target, family, k,
-        context != nullptr
-            ? QueryBudget::Tightest(options.budget, context->budget())
-            : options.budget,
-        options.deleted_rows, result);
+    SequentialKNearest(target, family, k, options.budget, options.deleted_rows,
+                       result);
     return;
   }
   if (context != nullptr) {
@@ -236,46 +230,6 @@ RangeQueryResult SignatureTableEngine::FindInRange(
   RangeQueryResult result = FindInRangeImpl(target, family, threshold, options);
   RecordQuery(result.stats, /*is_range=*/true, timer.ElapsedUs());
   return result;
-}
-
-std::vector<NearestNeighborResult> SignatureTableEngine::FindKNearestBatch(
-    const std::vector<Transaction>& targets, const SimilarityFamily& family,
-    size_t k, const SearchOptions& options, size_t num_threads,
-    ThreadPool* pool) const {
-  std::vector<NearestNeighborResult> results;
-  if (healthy()) {
-    results = mbi::FindKNearestBatch(*engine_, targets, family, k, options,
-                                     num_threads, pool);
-  } else {
-    // Degraded mode: answer each target exactly via the scanner. Parallelism
-    // is not worth preserving here — the whole mode exists to limp along
-    // until the index is rebuilt.
-    results.resize(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) {
-      SequentialKNearest(targets[i], family, k, options.budget,
-                         options.deleted_rows, &results[i]);
-    }
-  }
-  if (metrics_enabled_) {
-    // Per-query wall time is not observable inside the fan-out, so the batch
-    // records counters only; the latency histograms stay single-query.
-    for (const NearestNeighborResult& result : results) {
-      RecordQueryStats(result.stats, /*is_range=*/false);
-    }
-  }
-  return results;
-}
-
-StatusOr<std::vector<NearestNeighborResult>>
-SignatureTableEngine::FindKNearestBatchAdmitted(
-    AdmissionController* controller, const std::vector<Transaction>& targets,
-    const SimilarityFamily& family, size_t k, const SearchOptions& options,
-    size_t num_threads, ThreadPool* pool) const {
-  MBI_CHECK(controller != nullptr);
-  SearchOptions admitted = options;
-  AdmissionSlot slot(controller, &admitted.budget);
-  if (!slot.ok()) return slot.status();
-  return FindKNearestBatch(targets, family, k, admitted, num_threads, pool);
 }
 
 }  // namespace mbi

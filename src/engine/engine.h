@@ -5,11 +5,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
-#include "engine/admission.h"
 #include "core/signature_table.h"
 #include "core/table_io.h"
 #include "storage/env.h"
@@ -19,7 +17,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace mbi {
 
@@ -39,6 +36,11 @@ namespace mbi {
 /// component of a DynamicIndex is a SignatureTableEngine over its own rows
 /// (DynComponent), so a component whose table shard failed to load falls
 /// back exactly like a static index does.
+///
+/// Its query surface is FindKNearest and FindInRange, one query per call,
+/// each bounded only by its own SearchOptions::budget, plus optional
+/// metrics. Concurrent callers each pass their own QueryContext; a batch
+/// over a healthy table fans out through core/batch_query.h instead.
 class SignatureTableEngine {
  public:
   /// `database` must outlive the engine and is always trusted (its own
@@ -85,8 +87,8 @@ class SignatureTableEngine {
 
   /// k-NN query: branch-and-bound when healthy, sequential scan when
   /// quarantined (stats.sequential_fallbacks == 1). `context` is used only
-  /// on the healthy path, except that a budget pinned on it applies to both.
-  /// SearchOptions::budget is honored on both paths; the fallback propagates
+  /// on the healthy path. SearchOptions::budget, the query's only budget, is
+  /// honored on both paths; the fallback propagates
   /// the scanner's full QueryStats — termination, is_exact, and
   /// certificate_bound included — so a degraded fallback answer carries the
   /// same certificate a degraded indexed answer would.
@@ -108,31 +110,6 @@ class SignatureTableEngine {
                                const SimilarityFamily& family,
                                double threshold,
                                const SearchOptions& options = {}) const;
-
-  /// Batch k-NN with the engine's degradation contract: when healthy the
-  /// batch fans out over a thread pool (see core/batch_query.h for the
-  /// threading knobs); when quarantined each target is answered by the
-  /// sequential fallback, so every result carries
-  /// stats.sequential_fallbacks == 1 and fallback_queries() advances by
-  /// `targets.size()`. Results are in target order either way.
-  std::vector<NearestNeighborResult> FindKNearestBatch(
-      const std::vector<Transaction>& targets, const SimilarityFamily& family,
-      size_t k, const SearchOptions& options = {}, size_t num_threads = 0,
-      ThreadPool* pool = nullptr) const;
-
-  /// Admission-controlled batch k-NN: the batch first passes through
-  /// `controller` (token bucket + bounded queue). Under pressure the
-  /// controller may tighten the batch's QueryBudget deadline (every result
-  /// then carries a certified degraded answer instead of queueing
-  /// unboundedly) or shed the whole batch with kUnavailable carrying a
-  /// retry_after_ms hint — the code util/retry's RetryTransient backs off
-  /// on. This is the entry point the ROADMAP's `mbi serve` request
-  /// scheduler drives.
-  StatusOr<std::vector<NearestNeighborResult>> FindKNearestBatchAdmitted(
-      AdmissionController* controller, const std::vector<Transaction>& targets,
-      const SimilarityFamily& family, size_t k,
-      const SearchOptions& options = {}, size_t num_threads = 0,
-      ThreadPool* pool = nullptr) const;
 
   /// Enables engine-level instrumentation in `registry` (names mbi.engine.*,
   /// see DESIGN.md §8): query/prune/fallback counters that aggregate exactly

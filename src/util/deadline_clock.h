@@ -7,7 +7,7 @@
 //
 // This file is also the *only* place allowed to call
 // std::chrono::steady_clock::now() directly (mbi-lint rule `no-raw-clock`);
-// everything else — metrics timers, stopwatches, admission queues — reads
+// everything else — metrics timers, stopwatches, retry deadlines — reads
 // time through SteadyNowUs() or a DeadlineClock*. Keeping the raw clock
 // confined here is what makes every time-dependent behavior mockable.
 

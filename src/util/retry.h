@@ -52,9 +52,9 @@ void SleepForMs(double ms);
 
 /// Parses a server-supplied retry-after hint out of a status message. By
 /// convention an overloaded component rejects with kUnavailable and appends
-/// "retry_after_ms=<float>" to the message (the AdmissionController does);
-/// this returns that value, or 0 when the status carries no hint (so callers
-/// can always take max(backoff, hint)).
+/// "retry_after_ms=<float>" to the message (DynamicIndex::Insert does under
+/// backpressure); this returns that value, or 0 when the status carries no
+/// hint (so callers can always take max(backoff, hint)).
 double RetryAfterHintMs(const Status& status);
 
 /// What one RetryTransient call did, for instrumentation: how many times the

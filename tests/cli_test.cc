@@ -184,6 +184,12 @@ TEST(CliTest, ErrorsAreReported) {
     EXPECT_EQ(rejected.output.find("top-"), std::string::npos) << args;
     EXPECT_EQ(rejected.output.find("MBI_CHECK"), std::string::npos) << args;
   }
+  // `bench` replays through FindKNearest only; it has no admission control,
+  // so --max_in_flight is an unknown flag (a usage error).
+  EXPECT_EQ(RunCli("bench --db " + db + " --index " + index +
+                   " --queries 2 --max_in_flight 2")
+                .exit_code,
+            2);
   std::FILE* written = std::fopen(out.c_str(), "rb");
   EXPECT_EQ(written, nullptr) << "a rejected build wrote " << out;
   if (written != nullptr) std::fclose(written);

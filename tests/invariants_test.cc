@@ -164,11 +164,10 @@ TEST(BoundDominanceTest, HoldsForAllFamiliesAndThresholds) {
   auto targets = generator.GenerateQueries(5);
   for (int r : {1, 2}) {
     SignatureTable table = BuildTable(db, 8, r);
-    BranchAndBoundEngine engine(&db, &table);
     for (const char* name : {"hamming", "match_ratio", "cosine", "jaccard"}) {
       auto family = MakeSimilarityFamily(name);
       for (const Transaction& target : targets) {
-        engine.CheckBoundDominance(target, *family);
+        CheckBoundDominance(db, table, target, *family);
       }
     }
   }

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/sequential_scan.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_stats.h"
@@ -397,7 +396,10 @@ TEST(EngineMetricsTest, FallbackRangeQueryReportsScanIo) {
   EXPECT_EQ(range.stats.io.pages_read, knn.stats.io.pages_read);
 
   // And the aggregate layer sees both the fallbacks and the scan I/O.
+  EXPECT_EQ(engine.fallback_queries(), 2u);
   EXPECT_EQ(registry.FindCounter("mbi.engine.query.fallback")->value(), 2u);
+  EXPECT_EQ(registry.FindCounter("mbi.engine.query.knn")->value(), 1u);
+  EXPECT_EQ(registry.FindCounter("mbi.engine.query.range")->value(), 1u);
   EXPECT_EQ(registry.FindCounter("mbi.scan.query.range")->value(), 1u);
   EXPECT_EQ(registry.FindCounter("mbi.scan.query.knn")->value(), 1u);
   EXPECT_EQ(registry.FindCounter("mbi.scan.transactions.scanned")->value(),
@@ -408,76 +410,6 @@ TEST(EngineMetricsTest, FallbackRangeQueryReportsScanIo) {
   // re-evaluated everything.
   EXPECT_DOUBLE_EQ(range.stats.PruningEfficiencyPercent(), 0.0);
   EXPECT_DOUBLE_EQ(range.stats.AccessedFraction(), 1.0);
-}
-
-/// Satellite: the engine-level batch helper against a degraded engine must
-/// aggregate fallbacks (the core batch helper only ever ran healthy).
-TEST(EngineMetricsTest, BatchFallbackAggregatesAcrossTargets) {
-  EngineFixture fixture;
-  SignatureTableEngine engine(&fixture.db);  // Degraded: no table adopted.
-  MetricsRegistry registry;
-  engine.set_metrics(&registry);
-  MatchRatioFamily family;
-
-  std::vector<NearestNeighborResult> results =
-      engine.FindKNearestBatch(fixture.queries, family, 5);
-  ASSERT_EQ(results.size(), fixture.queries.size());
-  for (const NearestNeighborResult& result : results) {
-    EXPECT_EQ(result.stats.sequential_fallbacks, 1u);
-    EXPECT_TRUE(result.guaranteed_exact);
-  }
-  EXPECT_EQ(engine.fallback_queries(), fixture.queries.size());
-  EXPECT_EQ(registry.FindCounter("mbi.engine.query.fallback")->value(),
-            fixture.queries.size());
-  EXPECT_EQ(registry.FindCounter("mbi.engine.query.knn")->value(),
-            fixture.queries.size());
-
-  // Degraded batch answers are the sequential oracle's answers.
-  SequentialScanner scanner(&fixture.db);
-  for (size_t i = 0; i < fixture.queries.size(); ++i) {
-    std::vector<Neighbor> oracle =
-        scanner.FindKNearest(fixture.queries[i], family, 5);
-    ASSERT_EQ(results[i].neighbors.size(), oracle.size());
-    for (size_t j = 0; j < oracle.size(); ++j) {
-      EXPECT_EQ(results[i].neighbors[j].id, oracle[j].id);
-      EXPECT_DOUBLE_EQ(results[i].neighbors[j].similarity,
-                       oracle[j].similarity);
-    }
-  }
-}
-
-TEST(EngineMetricsTest, HealthyBatchMatchesSingleQueriesAndAggregates) {
-  EngineFixture fixture;
-  SignatureTableEngine engine(&fixture.db);
-  engine.AdoptTable(fixture.table);
-  MetricsRegistry registry;
-  engine.set_metrics(&registry);
-  MatchRatioFamily family;
-
-  std::vector<NearestNeighborResult> batch =
-      engine.FindKNearestBatch(fixture.queries, family, 5, {}, 2);
-  ASSERT_EQ(batch.size(), fixture.queries.size());
-  EXPECT_EQ(registry.FindCounter("mbi.engine.query.knn")->value(),
-            fixture.queries.size());
-  EXPECT_EQ(registry.FindCounter("mbi.engine.query.fallback")->value(), 0u);
-  EXPECT_EQ(engine.fallback_queries(), 0u);
-
-  uint64_t evaluated = 0;
-  for (size_t i = 0; i < fixture.queries.size(); ++i) {
-    EXPECT_EQ(batch[i].stats.sequential_fallbacks, 0u);
-    evaluated += batch[i].stats.transactions_evaluated;
-    NearestNeighborResult single =
-        engine.FindKNearest(fixture.queries[i], family, 5);
-    ASSERT_EQ(batch[i].neighbors.size(), single.neighbors.size());
-    for (size_t j = 0; j < single.neighbors.size(); ++j) {
-      EXPECT_EQ(batch[i].neighbors[j].id, single.neighbors[j].id);
-    }
-  }
-  // The batch recorded counters but not latency (no per-query wall time).
-  EXPECT_EQ(registry.FindHistogram("mbi.engine.latency.knn")->count(),
-            fixture.queries.size());  // Only the singles above.
-  EXPECT_GE(registry.FindCounter("mbi.engine.transactions.evaluated")->value(),
-            evaluated);
 }
 
 TEST(EngineMetricsTest, DisablingMetricsStopsRecording) {

@@ -612,12 +612,12 @@ TEST(OracleEquivalenceEdgeTest, EmptyTargetAndTinyBudget) {
 
 TEST(OracleEquivalenceEdgeTest, BoundDominanceHoldsOnOverhauledEngine) {
   Fixture fixture = MakeFixture(91, 8);
-  BranchAndBoundEngine engine(&fixture.db, &fixture.table);
   for (const char* family_name : {"hamming", "match_ratio", "cosine"}) {
     auto family = MakeSimilarityFamily(family_name);
     // Aborts on any Lemma 2.1 violation; exercised here so the invariant
     // layer stays wired to the overhauled query path.
-    engine.CheckBoundDominance(fixture.queries.front(), *family);
+    CheckBoundDominance(fixture.db, fixture.table, fixture.queries.front(),
+                        *family);
   }
   fixture.table.CheckInvariants(&fixture.db);
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "baseline/inverted_index.h"
@@ -27,6 +29,15 @@ namespace {
 /// a-posteriori guarantee, Lemma 2.1).
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// CI sweeps MBI_FAULT_SEED; the concurrent test folds it into its data and
+/// targets so each sweep point exercises a different workload and
+/// interleaving.
+uint64_t TestSeed() {
+  const char* env = std::getenv("MBI_FAULT_SEED");
+  if (env == nullptr) return 1;
+  return std::strtoull(env, nullptr, 10) + 1;
+}
 
 TransactionDatabase MakeDatabase(size_t rows, uint64_t seed = 4242) {
   QuestGeneratorConfig config;
@@ -73,21 +84,6 @@ void ExpectCertificateDominates(const NearestNeighborResult& result,
     EXPECT_GE(reachable, oracle[i].similarity)
         << "certificate misses oracle neighbor " << i;
   }
-}
-
-TEST(QueryBudgetTest, TightestMergePicksEveryMinimum) {
-  ManualClock clock(100.0);
-  QueryBudget a;
-  a.deadline_us = 500.0;
-  QueryBudget b;
-  b.max_entries = 7;
-  b.clock = &clock;
-  QueryBudget merged = QueryBudget::Tightest(a, b);
-  EXPECT_EQ(merged.deadline_us, 500.0);
-  EXPECT_EQ(merged.max_entries, 7u);
-  EXPECT_EQ(merged.clock, &clock);
-  EXPECT_TRUE(merged.limited());
-  EXPECT_FALSE(QueryBudget{}.limited());
 }
 
 TEST(QueryBudgetTest, WithDeadlineAfterMsUsesTheInjectedClock) {
@@ -247,26 +243,6 @@ TEST(QueryBudgetTest, MaxEntriesCapsTheScan) {
   EXPECT_EQ(result.stats.entries_scanned, 2u);
   EXPECT_EQ(result.stats.termination, QueryTermination::kEntryBudget);
   EXPECT_FALSE(result.stats.is_exact);
-}
-
-TEST(QueryBudgetTest, ContextBudgetMergesTightestWins) {
-  TransactionDatabase db = MakeDatabase(2000);
-  SignatureTable table = BuildOver(db);
-  BranchAndBoundEngine engine(&db, &table);
-  MatchRatioFamily family;
-  const Transaction target = QueryTarget();
-
-  // The context carries the tight entry cap; the options budget is looser.
-  QueryContext context;
-  QueryBudget session;
-  session.max_entries = 1;
-  context.set_budget(session);
-  SearchOptions options;
-  options.budget.max_entries = 1000000;
-  NearestNeighborResult result =
-      engine.FindKNearest(target, family, 5, options, &context);
-  EXPECT_EQ(result.stats.entries_scanned, 1u);
-  EXPECT_EQ(result.stats.termination, QueryTermination::kEntryBudget);
 }
 
 TEST(QueryBudgetTest, CompletedQueryReportsExactAndCompleted) {
@@ -482,6 +458,85 @@ TEST(QueryBudgetTest, EngineCountsDegradedAndExpiredQueries) {
   ASSERT_NE(expired, nullptr);
   EXPECT_EQ(degraded->value(), 1u);
   EXPECT_EQ(expired->value(), 1u);
+}
+
+TEST(QueryBudgetTest, ConcurrentClientsOnOneEngineGetCertifiedAnswers) {
+  // Several clients share one healthy engine, each through its own
+  // QueryContext, and each query carries only its own budget: a deadline
+  // already expired on the client's ManualClock, a ManualClock deadline the
+  // query walks into mid-search, or none. Runs under TSan in CI.
+  QuestGeneratorConfig config;
+  config.universe_size = 150;
+  config.num_large_itemsets = 30;
+  config.seed = TestSeed();
+  QuestGenerator generator(config);
+  TransactionDatabase db = generator.GenerateDatabase(1500);
+  SignatureTableEngine engine(&db);
+  engine.AdoptTable(BuildOver(db));
+  ASSERT_TRUE(engine.healthy());
+  MatchRatioFamily family;
+  const size_t k = 5;
+
+  const std::vector<Transaction> targets = generator.GenerateQueries(8);
+  std::vector<NearestNeighborResult> unbudgeted;
+  for (const Transaction& target : targets) {
+    unbudgeted.push_back(engine.FindKNearest(target, family, k));
+  }
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kRounds = 6;
+  // answers[c][round * targets.size() + i]: client c's answer for target i.
+  std::vector<std::vector<NearestNeighborResult>> answers(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      QueryContext context;
+      // Odd clients' clocks move 10us per read, so a 35us deadline expires
+      // after a scripted number of budget checks.
+      ManualClock clock(1000.0, c % 2 == 1 ? 10.0 : 0.0);
+      for (size_t round = 0; round < kRounds; ++round) {
+        for (const Transaction& target : targets) {
+          SearchOptions options;
+          if (round % 3 != 2) {
+            options.budget.clock = &clock;
+            options.budget.deadline_us =
+                c % 2 == 0 ? 0.0 : clock.NowUs() + 35.0;
+          }
+          answers[c].push_back(
+              engine.FindKNearest(target, family, k, options, &context));
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  size_t deadline_cut = 0;
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(answers[c].size(), kRounds * targets.size());
+    for (size_t a = 0; a < answers[c].size(); ++a) {
+      const NearestNeighborResult& result = answers[c][a];
+      const NearestNeighborResult& truth = unbudgeted[a % targets.size()];
+      ASSERT_FALSE(result.neighbors.empty())
+          << "client " << c << " answer " << a;
+      if (result.stats.termination == QueryTermination::kDeadline) {
+        ++deadline_cut;
+      }
+      if (result.stats.is_exact) {
+        ASSERT_EQ(result.neighbors.size(), truth.neighbors.size());
+        for (size_t n = 0; n < truth.neighbors.size(); ++n) {
+          EXPECT_EQ(result.neighbors[n].id, truth.neighbors[n].id);
+          EXPECT_EQ(result.neighbors[n].similarity,
+                    truth.neighbors[n].similarity);
+        }
+      } else {
+        ExpectCertificateDominates(result, truth.neighbors, k);
+      }
+    }
+  }
+  EXPECT_GT(deadline_cut, 0u)
+      << "expired deadlines should have produced deadline-terminated, "
+         "certified answers";
 }
 
 }  // namespace

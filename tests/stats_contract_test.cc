@@ -7,18 +7,16 @@
 //    transactions_evaluated, so QueryBudget::max_entries bites at the same
 //    magnitude everywhere (the chunk-unit regression let scans overshoot
 //    the budget 256x).
-//  * combined stats (batches, multi-component queries) aggregate through
+//  * combined stats (multi-component queries) aggregate through
 //    MergeQueryStats: certificate_bound as max, is_exact as AND,
 //    termination as most-severe, counters as sums.
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <vector>
 
 #include "baseline/inverted_index.h"
 #include "baseline/sequential_scan.h"
-#include "core/batch_query.h"
 #include "core/branch_and_bound.h"
 #include "core/index_builder.h"
 #include "core/query_stats.h"
@@ -26,8 +24,6 @@
 
 namespace mbi {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TransactionDatabase MakeDatabase(size_t rows, uint64_t seed = 4242) {
   QuestGeneratorConfig config;
@@ -119,7 +115,7 @@ TEST(StatsUnitTest, InvertedIndexCountsCandidateRows) {
             full.stats.entries_total);
 }
 
-// --- MergeQueryStats / AggregateBatchStats ------------------------------
+// --- MergeQueryStats ----------------------------------------------------
 
 QueryStats ExactStats() {
   QueryStats stats;
@@ -198,45 +194,6 @@ TEST(MergeQueryStatsTest, TerminationSeverityOrderIsTotal) {
                 order[a > b ? a : b]);
     }
   }
-}
-
-TEST(AggregateBatchStatsTest, MixedExactAndDegradedBatch) {
-  // Real results through the public batch path: same database, one query
-  // unbudgeted (exact), one entry-budgeted (degraded). The aggregate must
-  // carry the degraded certificate, AND-ed exactness, and a database_size
-  // that is NOT multiplied by the batch size.
-  TransactionDatabase db = MakeDatabase(2000);
-  IndexBuildConfig build;
-  build.clustering.target_cardinality = 8;
-  SignatureTable table = BuildIndex(db, build);
-  BranchAndBoundEngine engine(&db, &table);
-  MatchRatioFamily family;
-  const Transaction target = QueryTarget();
-
-  std::vector<NearestNeighborResult> results;
-  results.push_back(engine.FindKNearest(target, family, 5));
-  ASSERT_TRUE(results[0].stats.is_exact);
-
-  SearchOptions limited;
-  limited.budget.max_entries = 1;
-  results.push_back(engine.FindKNearest(target, family, 5, limited));
-  ASSERT_FALSE(results[1].stats.is_exact);
-  ASSERT_GT(results[1].stats.certificate_bound, -kInf);
-
-  const QueryStats agg = AggregateBatchStats(results);
-  EXPECT_FALSE(agg.is_exact);
-  EXPECT_EQ(agg.termination, QueryTermination::kEntryBudget);
-  EXPECT_DOUBLE_EQ(agg.certificate_bound,
-                   results[1].stats.certificate_bound);
-  EXPECT_EQ(agg.database_size, db.size());  // max, not sum: same database
-  EXPECT_EQ(agg.entries_scanned,
-            results[0].stats.entries_scanned + results[1].stats.entries_scanned);
-
-  // Empty batch: a clean identity (exact, no work, -inf certificate).
-  const QueryStats none = AggregateBatchStats({});
-  EXPECT_TRUE(none.is_exact);
-  EXPECT_EQ(none.termination, QueryTermination::kCompleted);
-  EXPECT_EQ(none.certificate_bound, -kInf);
 }
 
 }  // namespace

@@ -203,6 +203,20 @@ TEST(RetryTest, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(calls, 4);
 }
 
+TEST(RetryAfterHintTest, ParsesShedStatusesAndRejectsGarbage) {
+  EXPECT_DOUBLE_EQ(
+      RetryAfterHintMs(Status::Unavailable("queue full; retry_after_ms=12.5")),
+      12.5);
+  EXPECT_DOUBLE_EQ(RetryAfterHintMs(Status::Unavailable("no hint here")), 0.0);
+  EXPECT_DOUBLE_EQ(
+      RetryAfterHintMs(Status::Unavailable("retry_after_ms=bogus")), 0.0);
+  EXPECT_DOUBLE_EQ(RetryAfterHintMs(Status::Unavailable("retry_after_ms=-4")),
+                   0.0);
+  // A mangled hint must not turn into a surprise multi-minute sleep.
+  EXPECT_DOUBLE_EQ(
+      RetryAfterHintMs(Status::Unavailable("retry_after_ms=9000000")), 0.0);
+}
+
 TEST(RetryTest, RetryAfterHintIsClampedToRemainingDeadline) {
   // Regression for the oversleep bug: an overloaded server's retry_after_ms
   // hint used to be honored verbatim, so a caller with 10ms of budget left

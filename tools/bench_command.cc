@@ -1,7 +1,5 @@
 #include <cstdio>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/branch_and_bound.h"
@@ -40,12 +38,6 @@ int RunBench(int argc, char** argv) {
                   "per-query deadline in milliseconds; expired queries return "
                   "certified degraded answers (0 = no deadline)",
                   &deadline_ms);
-  int64_t max_in_flight;
-  flags.AddInt64("max_in_flight", 0,
-                 "route queries through an AdmissionController with this many "
-                 "execution tokens and report shed/degraded counts "
-                 "(0 = no admission control)",
-                 &max_in_flight, 0);
   std::string metrics_json;
   flags.AddString("metrics_json", "",
                   "write an mbi.metrics.v1 JSON snapshot of every metric to "
@@ -89,41 +81,17 @@ int RunBench(int argc, char** argv) {
   SearchOptions options;
   options.max_access_fraction = termination;
 
-  // Optional admission control in front of the replay loop. The loop is
-  // closed (one request at a time), so nothing sheds here — the point is to
-  // exercise the exact serving path `mbi serve` will use and to surface the
-  // shed/degraded accounting in the CLI output.
-  std::optional<AdmissionController> admission;
-  if (max_in_flight > 0) {
-    AdmissionOptions admission_options;
-    admission_options.max_in_flight = static_cast<size_t>(max_in_flight);
-    admission.emplace(admission_options);
-    if (metrics != nullptr) admission->set_metrics(metrics);
-  }
-
   Histogram latency_ms, access_percent, pages;
   int certified = 0;
   int degraded = 0;
   Stopwatch total;
-  std::vector<Transaction> one_target(1);
   for (const Transaction& target : targets) {
     if (deadline_ms > 0.0) {
       options.budget = QueryBudget::WithDeadlineAfterMs(deadline_ms);
     }
     Stopwatch timer;
-    NearestNeighborResult result;
-    if (admission.has_value()) {
-      one_target[0] = target;
-      StatusOr<std::vector<NearestNeighborResult>> admitted =
-          engine.FindKNearestBatchAdmitted(&*admission, one_target, *family,
-                                           static_cast<size_t>(k), options,
-                                           /*num_threads=*/1);
-      if (!admitted.ok()) continue;  // Shed; admission->shed() counts it.
-      result = std::move(admitted.value()[0]);
-    } else {
-      result =
-          engine.FindKNearest(target, *family, static_cast<size_t>(k), options);
-    }
+    NearestNeighborResult result =
+        engine.FindKNearest(target, *family, static_cast<size_t>(k), options);
     latency_ms.Add(timer.ElapsedMillis());
     access_percent.Add(100.0 * result.stats.AccessedFraction());
     pages.Add(static_cast<double>(result.stats.io.pages_read));
@@ -142,12 +110,6 @@ int RunBench(int argc, char** argv) {
   if (degraded > 0) {
     std::printf("certified degraded (budget-limited): %d/%lld\n", degraded,
                 static_cast<long long>(queries));
-  }
-  if (admission.has_value()) {
-    std::printf("admission: admitted=%llu shed=%llu deadline-tightened=%llu\n",
-                static_cast<unsigned long long>(admission->admitted()),
-                static_cast<unsigned long long>(admission->shed()),
-                static_cast<unsigned long long>(admission->degraded()));
   }
   if (engine.fallback_queries() > 0) {
     std::printf("sequential fallbacks: %llu\n",

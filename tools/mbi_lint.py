@@ -36,7 +36,7 @@ allocation reachability and discarded Status values:
                                std::chrono::steady_clock (or system /
                                high_resolution); all other timing flows
                                through SteadyNowUs() / DeadlineClock so
-                               query deadlines, admission patience, and
+                               query deadlines, retry backoff, and
                                latency metrics stay mockable in tests.
 
 Frontend: when the libclang Python bindings are importable the file is
@@ -666,8 +666,8 @@ _CLOCK_TYPES = {"steady_clock", "system_clock", "high_resolution_clock"}
 @rule("no-raw-clock", scope_prefixes=("src/", "tools/"))
 def check_no_raw_clock(source, emit):
     """Every time read flows through SteadyNowUs() / the DeadlineClock seam
-    (util/deadline_clock.h): query deadlines, admission-queue patience, and
-    latency instrumentation are all testable only because a ManualClock can
+    (util/deadline_clock.h): query deadlines, retry deadlines, and latency
+    instrumentation are all testable only because a ManualClock can
     stand in for the real clock. A raw std::chrono::*_clock::now() anywhere
     else is a time source deadline tests cannot script — the same argument
     that confines FILE* to the Env seam. (Durations like

@@ -165,8 +165,7 @@ int RunQuery(int argc, char** argv) {
 
   if (check_invariants && engine.table() != nullptr) {
     engine.table()->CheckInvariants(&*db);
-    BranchAndBoundEngine(&*db, engine.table())
-        .CheckBoundDominance(target, *family);
+    CheckBoundDominance(*db, *engine.table(), target, *family);
     std::printf("index invariants and bound dominance verified\n");
   }
 
